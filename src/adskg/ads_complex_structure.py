@@ -11,11 +11,11 @@ recurrences.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ads_modes import is_real_solution, omega_rho
+from .ads_modes import _cmul, _find, _ordered_sum, is_real_solution
 from .specfun import PoleError, log_gamma_signed
 
 __all__ = [
@@ -35,76 +35,65 @@ __all__ = [
 ]
 
 
-class JFactors:
-    """Per-(omega, l) complex 2x2 action (jaa, jab; jba, jbb) on (a, b)."""
+_FACTORS = ("jaa", "jab", "jba", "jbb")
 
-    __slots__ = ("_table",)
+
+class JFactors:
+    """Per-(omega, l) complex 2x2 action (jaa, jab; jba, jbb) on (a, b).
+
+    Stored as a (keys, 4) complex array in sorted (omega, l) key order.
+    """
+
+    __slots__ = ("_keys", "_codes", "_values")
 
     def __init__(self, table):
-        store = {}
-        for (omega, l), (jaa, jab, jba, jbb) in table.items():
-            store[(float(omega), int(l))] = (
-                complex(jaa),
-                complex(jab),
-                complex(jba),
-                complex(jbb),
-            )
-        self._table = store
+        store = {(float(omega), int(l)): row for (omega, l), row in table.items()}
+        self._keys = sorted(store)
+        # omega + i l: numpy orders complex numbers lexicographically, so
+        # the codes of the sorted keys are sorted and searchable
+        self._codes = np.array([complex(omega, l) for omega, l in self._keys])
+        values = np.array([store[key] for key in self._keys], dtype=complex)
+        self._values = values.reshape(len(self._keys), 4)
+
+    def _at(self, codes):
+        """(jaa, jab, jba, jbb) at omega + i l codes; KeyError for the first one missing."""
+        rows = _find(self._codes, codes)
+        if np.any(rows < 0):
+            code = np.ravel(codes)[np.argmax(rows < 0)]
+            raise KeyError(f"no j-factors at (omega, l) = {(float(code.real), int(code.imag))}")
+        return self._values[rows]
 
     @property
     def table(self):
-        return dict(self._table)
+        return dict(zip(self._keys, map(tuple, self._values.tolist())))
 
     def keys(self):
-        return sorted(self._table)
+        return list(self._keys)
 
     def get(self, omega, l):
-        key = (float(omega), int(l))
-        if key not in self._table:
-            raise KeyError(f"no j-factors at (omega, l) = {key}")
-        return self._table[key]
+        return tuple(self._at(complex(float(omega), int(l))).tolist())
 
     def has(self, omega, l):
-        return (float(omega), int(l)) in self._table
+        return bool(_find(self._codes, complex(float(omega), int(l))) >= 0)
 
     def to_json(self):
-        rows = []
-        for (omega, l) in self.keys():
-            jaa, jab, jba, jbb = self._table[(omega, l)]
-            rows.append(
-                {
-                    "omega": omega,
-                    "l": l,
-                    "jaa": [jaa.real, jaa.imag],
-                    "jab": [jab.real, jab.imag],
-                    "jba": [jba.real, jba.imag],
-                    "jbb": [jbb.real, jbb.imag],
-                }
-            )
+        rows = [
+            {"omega": omega, "l": l, **{name: [v.real, v.imag] for name, v in zip(_FACTORS, row)}}
+            for (omega, l), row in zip(self._keys, self._values.tolist())
+        ]
         return json.dumps(rows, indent=1)
 
 
 def jfactors_from_json(text):
     rows = json.loads(text)
-    table = {}
-    for row in rows:
-        table[(row["omega"], row["l"])] = (
-            complex(*row["jaa"]),
-            complex(*row["jab"]),
-            complex(*row["jba"]),
-            complex(*row["jbb"]),
-        )
-    return JFactors(table)
+    return JFactors({(r["omega"], r["l"]): tuple(complex(*r[n]) for n in _FACTORS) for r in rows})
 
 
 def apply_J(jf, phi):
     """Entrywise action: (J phi)^a = jaa phi^a + jab phi^b, and likewise ^b."""
-
-    def act(omega, levels, m, a, b):
-        jaa, jab, jba, jbb = jf.get(omega, levels[0])
-        return (jaa * a + jab * b, jba * a + jbb * b)
-
-    return phi.map_entries(act)
+    omegas, ls, _, a, b = phi._entry_arrays()
+    jaa, jab, jba, jbb = jf._at(omegas + 1j * ls).T
+    return phi._with_values(_cmul(jaa, a) + _cmul(jab, b), _cmul(jba, a) + _cmul(jbb, b))
 
 
 @dataclass(frozen=True)
@@ -112,7 +101,9 @@ class ConditionReport:
     """Outcome of the full condition system over a frequency-symmetric grid.
 
     residuals holds the worst absolute residual per named condition;
-    case is "diagonal", "nondiagonal" or "invalid".
+    case is "diagonal", "nondiagonal" or "invalid".  pairs holds every
+    field above for each checked key's (omega, l)/(-omega, l) pair on its
+    own, as lists in sorted key order (residuals as a dict of lists).
     """
 
     reality_ok: bool
@@ -123,34 +114,84 @@ class ConditionReport:
     case: str
     positivity_ok: bool
     residuals: dict
+    pairs: dict = field(default=None, repr=False, compare=False)
 
     @property
     def essential_ok(self):
         return self.reality_ok and self.square_ok and self.compat_ok and self.offdiag_ok
 
 
-def _case_of_entry(jaa, jab, jba, jbb, tol):
-    scale = max(1.0, abs(jaa), abs(jab), abs(jba), abs(jbb))
+_CASES = ("invalid", "diagonal", "nondiagonal")
+
+
+def _key_conditions(values, mirror, tol):
+    """Residuals, case (index into _CASES) and positivity of (..., 4) j-factors.
+
+    mirror holds the j-factors at (-omega, l).  Each off-diagonal entry
+    is tested against a scale that leaves out its reciprocal partner
+    (jba = -(1 + jaa^2)/jab), so a small valid jab is not swamped.
+    """
+    jaa, jab, jba, jbb = np.moveaxis(values, -1, 0)
+    scale = np.maximum(1.0, np.maximum(np.abs(jaa) ** 2, np.abs(jab * jba)))
+    scale_off = np.maximum(1.0, np.maximum(np.abs(jab), np.abs(jba))) * np.maximum(
+        1.0, np.abs(jaa + jbb)
+    )
+    res = {
+        "square_a": np.abs(jaa * jaa + jab * jba + 1.0) / scale,
+        "square_b": np.abs(jbb * jbb + jab * jba + 1.0) / scale,
+        "offdiag_ab": np.abs(jab * (jaa + jbb)) / scale_off,
+        "offdiag_ba": np.abs(jba * (jaa + jbb)) / scale_off,
+        "compat": np.abs(jaa * np.conj(jbb) - jba * np.conj(jab) - 1.0) / scale,
+        "real_aa_ba": np.abs((jaa * np.conj(jba)).imag) / np.maximum(1.0, np.abs(jaa * jba)),
+        "real_bb_ab": np.abs((jbb * np.conj(jab)).imag) / np.maximum(1.0, np.abs(jbb * jab)),
+        "real_ab_ba": np.abs((jab * np.conj(jba)).imag) / np.maximum(1.0, np.abs(jab * jba)),
+        "reality": np.abs(mirror - np.conj(values)).max(axis=-1)
+        / np.maximum(1.0, np.abs(values).max(axis=-1)),
+    }
+    tol_d = tol * np.maximum(1.0, np.maximum(np.abs(jaa), np.abs(jbb)))
+    tol_ab = np.maximum(tol_d, tol * np.abs(jab))
+    tol_ba = np.maximum(tol_d, tol * np.abs(jba))
     diag = (
-        abs(jab) <= tol * scale
-        and abs(jba) <= tol * scale
-        and abs(jaa - jbb) <= tol * scale
-        and abs(jaa.real) <= tol * scale
-        and abs(abs(jaa.imag) - 1.0) <= tol * scale
+        (np.abs(jab) <= tol_ab)
+        & (np.abs(jba) <= tol_ba)
+        & (np.abs(jaa - jbb) <= tol_d)
+        & (np.abs(jaa.real) <= tol_d)
+        & (np.abs(np.abs(jaa.imag) - 1.0) <= tol_d)
     )
     nondiag = (
-        abs(jab.real) > tol * scale
-        and abs(jaa.imag) <= tol * scale
-        and abs(jab.imag) <= tol * scale
-        and abs(jba.imag) <= tol * scale
-        and abs(jbb.imag) <= tol * scale
-        and abs(jbb + jaa) <= tol * scale
+        (np.abs(jab.real) > tol_ab)
+        & (np.abs(jaa.imag) <= tol_d)
+        & (np.abs(jab.imag) <= tol_ab)
+        & (np.abs(jba.imag) <= tol_ba)
+        & (np.abs(jbb.imag) <= tol_d)
+        & (np.abs(jbb + jaa) <= tol_d)
     )
-    if diag:
-        return "diagonal"
-    if nondiag:
-        return "nondiagonal"
-    return "invalid"
+    case = np.where(diag, 1, np.where(nondiag, 2, 0))
+    return res, case, (case == 2) & (jba.real > 0.0) & (jab.real < 0.0)
+
+
+def _fold(res, case, positive, tol):
+    """ConditionReport fields over the last axis of per-key arrays, as lists or scalars."""
+    worst = {name: r.max(axis=-1, initial=0.0) for name, r in res.items()}
+    essential = dict(
+        reality_ok=worst["reality"] <= tol,
+        square_ok=np.maximum(worst["square_a"], worst["square_b"]) <= tol,
+        compat_ok=worst["compat"] <= tol,
+        offdiag_ok=np.maximum(worst["offdiag_ab"], worst["offdiag_ba"]) <= tol,
+    )
+    real_products = [worst[name] for name in ("real_aa_ba", "real_bb_ab", "real_ab_ba")]
+    # one case for all keys, else invalid; with no keys the bounds cross
+    shared = case.max(axis=-1, initial=0)
+    uniform = shared == case.min(axis=-1, initial=2)
+    folded = np.where(uniform & np.logical_and.reduce(list(essential.values())), shared, 0)
+    fields = dict(
+        essential,
+        real_products_ok=np.max(real_products, axis=0) <= tol,
+        case=np.array(_CASES)[folded],
+        positivity_ok=positive.all(axis=-1) & (folded > 0),
+    )
+    fields = {name: v.tolist() for name, v in fields.items()}
+    return fields | {"residuals": {name: r.tolist() for name, r in worst.items()}}
 
 
 def check_conditions(jf, grid=None, tol=1e-10):
@@ -162,81 +203,17 @@ def check_conditions(jf, grid=None, tol=1e-10):
     jab < 0 (the determinant is already pinned to one by the square
     condition).
     """
-    keys = sorted(grid) if grid is not None else jf.keys()
-    names = (
-        "square_a",
-        "square_b",
-        "offdiag_ab",
-        "offdiag_ba",
-        "compat",
-        "real_aa_ba",
-        "real_bb_ab",
-        "real_ab_ba",
-        "reality",
-    )
-    res = {name: 0.0 for name in names}
-    cases = set()
-    positivity = True
-    for (omega, l) in keys:
-        jaa, jab, jba, jbb = jf.get(omega, l)
-        scale = max(1.0, abs(jaa) ** 2, abs(jab * jba))
-        res["square_a"] = max(res["square_a"], abs(jaa * jaa + jab * jba + 1.0) / scale)
-        res["square_b"] = max(res["square_b"], abs(jbb * jbb + jab * jba + 1.0) / scale)
-        scale_off = max(1.0, abs(jab), abs(jba)) * max(1.0, abs(jaa + jbb))
-        res["offdiag_ab"] = max(res["offdiag_ab"], abs(jab * (jaa + jbb)) / scale_off)
-        res["offdiag_ba"] = max(res["offdiag_ba"], abs(jba * (jaa + jbb)) / scale_off)
-        res["compat"] = max(
-            res["compat"],
-            abs(jaa * np.conj(jbb) - jba * np.conj(jab) - 1.0) / scale,
-        )
-        res["real_aa_ba"] = max(
-            res["real_aa_ba"], abs((jaa * np.conj(jba)).imag) / max(1.0, abs(jaa * jba))
-        )
-        res["real_bb_ab"] = max(
-            res["real_bb_ab"], abs((jbb * np.conj(jab)).imag) / max(1.0, abs(jbb * jab))
-        )
-        res["real_ab_ba"] = max(
-            res["real_ab_ba"], abs((jab * np.conj(jba)).imag) / max(1.0, abs(jab * jba))
-        )
-        if not jf.has(-omega, l):
-            raise ValueError("condition grid must be symmetric in omega")
-        m_jaa, m_jab, m_jba, m_jbb = jf.get(-omega, l)
-        rel = max(
-            abs(m_jaa - np.conj(jaa)),
-            abs(m_jab - np.conj(jab)),
-            abs(m_jba - np.conj(jba)),
-            abs(m_jbb - np.conj(jbb)),
-        ) / max(1.0, abs(jaa), abs(jab), abs(jba), abs(jbb))
-        res["reality"] = max(res["reality"], rel)
-        case = _case_of_entry(jaa, jab, jba, jbb, tol)
-        cases.add(case)
-        if case == "nondiagonal":
-            positivity = positivity and (jba.real > 0.0 and jab.real < 0.0)
-        else:
-            positivity = False
-    reality_ok = res["reality"] <= tol
-    square_ok = res["square_a"] <= tol and res["square_b"] <= tol
-    compat_ok = res["compat"] <= tol
-    offdiag_ok = res["offdiag_ab"] <= tol and res["offdiag_ba"] <= tol
-    real_products_ok = max(res["real_aa_ba"], res["real_bb_ab"], res["real_ab_ba"]) <= tol
-    if cases == {"diagonal"}:
-        case = "diagonal"
-    elif cases == {"nondiagonal"}:
-        case = "nondiagonal"
-    else:
-        case = "invalid"
-    if not (reality_ok and square_ok and compat_ok and offdiag_ok):
-        case = "invalid"
-    return ConditionReport(
-        reality_ok=reality_ok,
-        square_ok=square_ok,
-        compat_ok=compat_ok,
-        offdiag_ok=offdiag_ok,
-        real_products_ok=real_products_ok,
-        case=case,
-        positivity_ok=positivity and case != "invalid",
-        residuals=res,
-    )
+    keys = jf.keys() if grid is None else sorted((float(w), int(l)) for w, l in grid)
+    omegas, ls = np.array(keys, dtype=float).reshape(-1, 2).T
+    values = jf._at(omegas + 1j * ls)
+    mirror = _find(jf._codes, -omegas + 1j * ls)
+    if np.any(mirror < 0):
+        raise ValueError("condition grid must be symmetric in omega")
+    # each key next to its (-omega, l) mirror: column 0 is the key itself
+    pair = np.stack([values, jf._values[mirror]], axis=1)
+    res, case, positive = _key_conditions(pair, pair[:, ::-1], tol)
+    own = _fold({name: r[:, 0] for name, r in res.items()}, case[:, 0], positive[:, 0], tol)
+    return ConditionReport(**own, pairs=_fold(res, case, positive, tol))
 
 
 def g_rho(p, jf, phi):
@@ -247,13 +224,14 @@ def g_rho(p, jf, phi):
     """
     if not is_real_solution(phi):
         raise ValueError("g_rho requires a real solution")
-    total = 0.0 + 0.0j
-    for (omega, levels, m), (a, b) in phi.entries.items():
-        jaa, jab, jba, _ = jf.get(omega, levels[0])
-        weight = phi.weight(omega) * (2.0 * levels[0] + p.d - 2.0)
-        total += weight * (
-            jba * abs(a) ** 2 - jab * abs(b) ** 2 - 2.0 * jaa * (a * np.conj(b)).real
-        )
+    omegas, ls, weights, a, b = phi._entry_arrays()
+    jaa, jab, jba, _ = jf._at(omegas + 1j * ls).T
+    weight = weights * (2.0 * ls + p.d - 2.0)
+    # libm hypot and pow, and a plain real product, round |a|^2 and
+    # Re(a conj(b)) the same on every CPU; the CLI prints this value to 17 digits
+    abs2_a, abs2_b = (np.float_power(np.hypot(x.real, x.imag), 2.0) for x in (a, b))
+    re_ab = a.real * b.real + a.imag * b.imag
+    total = _ordered_sum(weight * (jba * abs2_a - jab * abs2_b - 2.0 * jaa * re_ab))
     value = math.pi * p.R ** (p.d - 1) * total
     return float(value.real) if abs(value.imag) <= 1e-10 * max(1.0, abs(value)) else value
 
@@ -337,18 +315,18 @@ def candidate_jab(which, p, omega, l):
         return (-1.0) ** l * val
     if which == 2:
         val = _gamma_product(
-            (hp.one_minus_alpha_b, hp.one_minus_beta_b),
-            (hp.one_minus_alpha_a, hp.one_minus_beta_a) + g_pair,
+            (1.0 - hp.alpha_b, 1.0 - hp.beta_b),
+            (1.0 - hp.alpha_a, 1.0 - hp.beta_a) + g_pair,
         )
         return (-1.0) ** l * val
     if which == 3:
         return _gamma_product(
             (),
-            (hp.alpha_b, hp.beta_b, hp.one_minus_alpha_a, hp.one_minus_beta_a) + g_pair,
+            (hp.alpha_b, hp.beta_b, 1.0 - hp.alpha_a, 1.0 - hp.beta_a) + g_pair,
         )
     if which == 4:
         return _gamma_product(
-            (hp.alpha_a, hp.beta_a, hp.one_minus_alpha_b, hp.one_minus_beta_b),
+            (hp.alpha_a, hp.beta_a, 1.0 - hp.alpha_b, 1.0 - hp.beta_b),
             g_pair,
         )
     raise ValueError("candidate index must be 1..4")
@@ -387,10 +365,9 @@ def diagonal_jfactors(grid):
 
 def candidate_jfactors(which, p, grid, jaa=0.0):
     """JFactors built by completing a candidate jab over a grid."""
-    table = {}
-    for (omega, l) in grid:
-        table[(omega, l)] = complete_nondiagonal(candidate_jab(which, p, omega, l), jaa)
-    return JFactors(table)
+    return JFactors(
+        {key: complete_nondiagonal(candidate_jab(which, p, *key), jaa) for key in grid}
+    )
 
 
 def diagonal_boost_mismatch(omega):

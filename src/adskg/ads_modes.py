@@ -7,13 +7,15 @@ hypergeometric in sin^2(rho); their conserved relative Wronskian is what
 makes the mode-space symplectic structure hypersurface independent.
 """
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .harmonics import MultiIndex, multi_indices
+from .harmonics import MultiIndex, all_indices
 from .specfun import PoleError, POLE_TOL, hyp2f1, hyp2f1_dz
 
 __all__ = [
@@ -69,22 +71,6 @@ class HypergeoParams:
     alpha_b: float
     beta_b: float
     gamma: float
-
-    @property
-    def one_minus_alpha_a(self):
-        return 1.0 - self.alpha_a
-
-    @property
-    def one_minus_beta_a(self):
-        return 1.0 - self.beta_a
-
-    @property
-    def one_minus_alpha_b(self):
-        return 1.0 - self.alpha_b
-
-    @property
-    def one_minus_beta_b(self):
-        return 1.0 - self.beta_b
 
 
 def hypergeo_params(p, omega, l):
@@ -167,72 +153,151 @@ def radial_wronskian(p, omega, l, rho):
     return math.tan(rho) ** (p.d - 1) * (sa * dsb - sb * dsa)
 
 
+class _LabelSpace(NamedTuple):
+    """The labels of all_indices(d, lmax) and the maps between them."""
+
+    d: int
+    labels: tuple  # (levels, m) in all_indices order, which is sorted order
+    index: dict  # (levels, m) -> position
+    l: np.ndarray  # leading level of each label
+    partner: np.ndarray  # position of (levels, -m)
+
+
+@functools.lru_cache(maxsize=32)
+def _label_space(d, lmax):
+    labels = tuple((idx.levels, idx.m) for idx in all_indices(d, lmax))
+    index = {label: j for j, label in enumerate(labels)}
+    l = np.array([levels[0] for levels, _ in labels], dtype=int)
+    partner = np.array([index[(levels, -m)] for levels, m in labels], dtype=np.intp)
+    return _LabelSpace(d, labels, index, l, partner)
+
+
+def _label_positions(labels):
+    """Smallest label space holding the (levels, m) labels, and their positions in it."""
+    try:
+        d = len(labels[0][0]) + 2 if labels else 0
+        space = _label_space(d, int(max((levels[0] for levels, _ in labels), default=-1)))
+        return space, np.array([space.index[label] for label in labels], dtype=np.intp)
+    except (IndexError, KeyError):
+        for levels, m in labels:
+            MultiIndex(tuple(levels), int(m))
+        raise ValueError("mode vector labels must be integer multi-indices of one dimension")
+
+
+def _find(sorted_keys, wanted):
+    """Position of each wanted value in a sorted array, -1 where it is absent."""
+    wanted = np.asarray(wanted)
+    if len(sorted_keys) == 0:
+        return np.full(wanted.shape, -1)
+    pos = np.minimum(np.searchsorted(sorted_keys, wanted), len(sorted_keys) - 1)
+    return np.where(sorted_keys[pos] == wanted, pos, -1)
+
+
+def _cmul(x, y):
+    """Complex product from separately rounded real products: the same bits on
+    every CPU, where numpy's complex kernels may fuse multiply-adds."""
+    out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _ordered_sum(terms):
+    """Running total from zero in entry order, not numpy's pairwise sum."""
+    return complex(0.0 + np.cumsum(terms)[-1]) if len(terms) else 0j
+
+
 class ModeVector:
     """Finite mode content of a solution in the two-channel expansion.
 
     entries: {(omega, levels, m): (a, b)} complex channel pairs;
     freq_grid: [(omega, weight)] discretizing the frequency integral.
-    Immutable after construction.
+    Stored as one complex array over (frequency in grid order, label in
+    all_indices(d, lmax) order, channel a/b), with the (frequency, label)
+    positions of the entries given, in the order given; positions not
+    given hold zero and are not entries.  Immutable after construction.
     """
 
-    __slots__ = ("_entries", "_grid", "_weights")
+    __slots__ = ("_omegas", "_weights", "_space", "_data", "_entries")
 
     def __init__(self, freq_grid, entries):
-        grid = []
-        weights = {}
-        for omega, w in freq_grid:
-            omega, w = float(omega), float(w)
-            if w <= 0.0:
-                raise ValueError("frequency weights must be positive")
-            if omega in weights:
-                raise ValueError("duplicate frequency in grid")
-            weights[omega] = w
-            grid.append(omega)
-        store = {}
-        for key, (a, b) in entries.items():
-            omega, levels, m = key
-            omega = float(omega)
-            if omega not in weights:
-                raise ValueError(f"entry frequency {omega} not on the grid")
-            idx = MultiIndex(tuple(levels), int(m))
-            store[(omega, idx.levels, idx.m)] = (complex(a), complex(b))
-        self._entries = store
-        self._grid = tuple(sorted(grid))
-        self._weights = weights
+        grid = np.array([(float(omega), float(w)) for omega, w in freq_grid]).reshape(-1, 2)
+        if np.any(grid[:, 1] <= 0.0):
+            raise ValueError("frequency weights must be positive")
+        self._omegas, self._weights = grid[np.argsort(grid[:, 0])].T
+        if np.any(self._omegas[1:] == self._omegas[:-1]):
+            raise ValueError("duplicate frequency in grid")
+        keys = list(entries)
+        freqs = _find(self._omegas, np.array([omega for omega, _, _ in keys], dtype=float))
+        if np.any(freqs < 0):
+            omega = float(keys[int(np.argmax(freqs < 0))][0])
+            raise ValueError(f"entry frequency {omega} not on the grid")
+        self._space, labels = _label_positions([(levels, m) for _, levels, m in keys])
+        self._entries = np.stack([freqs, labels], axis=1)
+        self._data = np.zeros((len(self._omegas), len(self._space.labels), 2), dtype=complex)
+        values = np.array(list(entries.values()), dtype=complex)
+        self._data[freqs, labels] = values.reshape(len(keys), 2)
+
+    def _new(self, data, entries, space=None):
+        """A vector on this grid holding data, with the given entry positions."""
+        v = object.__new__(ModeVector)
+        v._omegas, v._weights, v._data, v._entries = self._omegas, self._weights, data, entries
+        v._space = space or self._space
+        return v
+
+    def _entry_arrays(self):
+        """omega, l, frequency weight, a and b of each entry, in entry order."""
+        f, j = self._entries.T
+        return (self._omegas[f], self._space.l[j], self._weights[f], *self._data[f, j].T)
+
+    def _with_values(self, a, b):
+        """A vector with this one's entries, in the same order, holding new a and b."""
+        f, j = self._entries.T
+        data = np.zeros_like(self._data)
+        data[f, j, 0], data[f, j, 1] = a, b
+        return self._new(data, self._entries)
+
+    def _items(self, positions):
+        """((omega, levels, m), (a, b)) at (frequency, label) positions."""
+        f, j = positions.T
+        labels = self._space.labels
+        keys = [(omega, *labels[jj]) for omega, jj in zip(self._omegas[f].tolist(), j.tolist())]
+        return zip(keys, map(tuple, self._data[f, j].tolist()))
 
     @property
     def freq_grid(self):
-        return tuple((omega, self._weights[omega]) for omega in self._grid)
+        return tuple(zip(self._omegas.tolist(), self._weights.tolist()))
 
     @property
     def entries(self):
-        return dict(self._entries)
+        return dict(self._items(self._entries))
 
     def weight(self, omega):
-        return self._weights[float(omega)]
+        return dict(self.freq_grid)[float(omega)]
 
     def get(self, omega, levels, m):
-        return self._entries.get((float(omega), tuple(levels), int(m)), (0.0 + 0.0j, 0.0 + 0.0j))
+        f = int(_find(self._omegas, float(omega)))
+        j = self._space.index.get((tuple(levels), int(m)))
+        if f < 0 or j is None:
+            return (0.0 + 0.0j, 0.0 + 0.0j)
+        return tuple(self._data[f, j].tolist())
 
     def grid_is_symmetric(self, tol=0.0):
-        for omega in self._grid:
-            if -omega not in self._weights:
-                return False
-            if abs(self._weights[omega] - self._weights[-omega]) > tol:
-                return False
-        return True
+        return bool(
+            np.array_equal(self._omegas, -self._omegas[::-1])
+            and not np.any(np.abs(self._weights - self._weights[::-1]) > tol)
+        )
 
     def same_grid(self, other):
-        return self._grid == other._grid and self._weights == other._weights
+        return self.freq_grid == other.freq_grid
 
     def map_entries(self, fn):
         """New ModeVector with (a, b) -> fn(omega, levels, m, a, b)."""
-        new = {}
-        for (omega, levels, m), (a, b) in self._entries.items():
-            new[(omega, levels, m)] = fn(omega, levels, m, a, b)
-        return ModeVector(self.freq_grid, new)
+        return ModeVector(self.freq_grid, {k: fn(*k, a, b) for k, (a, b) in self.entries.items()})
 
     def to_json(self):
+        # grid order, then all_indices order, is sorted key order
+        entries = self._items(self._entries[np.lexsort(self._entries.T[::-1])])
         payload = {
             "freq_grid": [{"omega": omega, "weight": w} for omega, w in self.freq_grid],
             "entries": [
@@ -243,26 +308,23 @@ class ModeVector:
                     "a": [a.real, a.imag],
                     "b": [b.real, b.imag],
                 }
-                for (omega, levels, m), (a, b) in sorted(self._entries.items())
+                for (omega, levels, m), (a, b) in entries
             ],
         }
         return json.dumps(payload, indent=1)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ModeVector)
-            and self.freq_grid == other.freq_grid
-            and self._entries == other._entries
-        )
+        same = isinstance(other, ModeVector) and self.same_grid(other)
+        return same and self.entries == other.entries
 
 
 def mode_vector_from_json(text):
     data = json.loads(text)
     grid = [(row["omega"], row["weight"]) for row in data["freq_grid"]]
-    entries = {}
-    for row in data["entries"]:
-        key = (row["omega"], tuple(row["levels"]), row["m"])
-        entries[key] = (complex(*row["a"]), complex(*row["b"]))
+    entries = {
+        (row["omega"], tuple(row["levels"]), row["m"]): (complex(*row["a"]), complex(*row["b"]))
+        for row in data["entries"]
+    }
     return ModeVector(grid, entries)
 
 
@@ -274,22 +336,23 @@ def omega_rho(p, eta, zeta):
     """
     if not eta.same_grid(zeta):
         raise ValueError("mode vectors live on different frequency grids")
-    total = 0.0 + 0.0j
-    for (omega, levels, m), (ea, eb) in eta._entries.items():
-        za, zb = zeta.get(-omega, levels, -m)
-        weight = eta.weight(omega) * (2.0 * levels[0] + p.d - 2.0)
-        total += weight * (ea * zb - eb * za)
+    if eta._space.d != zeta._space.d and len(eta._entries) and len(zeta._entries):
+        raise ValueError("mode vectors live in different dimensions")
+    _, ls, weights, ea, eb = eta._entry_arrays()
+    f, j = eta._entries.T
+    # zeta on eta's label space, with a zero row for an -omega off the grid
+    z = np.zeros((len(eta._omegas) + 1, len(eta._space.labels), 2), dtype=complex)
+    z[:-1, : len(zeta._space.labels)] = zeta._data[:, : len(eta._space.labels)]
+    z = z[_find(eta._omegas, -eta._omegas)[f], eta._space.partner[j]]
+    weight = weights * (2.0 * ls + p.d - 2.0)
+    total = _ordered_sum(weight * (_cmul(ea, z[:, 1]) - _cmul(eb, z[:, 0])))
     return math.pi * p.R ** (p.d - 1) * total
 
 
 def act_time_translation(dt, phi):
     """Coefficient action of t -> t + dt: both channels pick e^{i omega dt}."""
-    return phi.map_entries(
-        lambda omega, levels, m, a, b: (
-            a * complex(math.cos(omega * dt), math.sin(omega * dt)),
-            b * complex(math.cos(omega * dt), math.sin(omega * dt)),
-        )
-    )
+    phase = np.array([complex(math.cos(w * dt), math.sin(w * dt)) for w in phi._omegas.tolist()])
+    return phi._new(_cmul(phi._data, phase[:, None, None]), phi._entries)
 
 
 def act_rotation(blocks, phi):
@@ -298,56 +361,32 @@ def act_rotation(blocks, phi):
     blocks: {l: matrix over multi_indices(d, l)} for every l present in
     phi; coefficients mix within fixed l and frequency:
     (R phi)^x(omega, L) = sum_L' block[L, L'] phi^x(omega, L').
+    Results that come out exactly zero are not entries.
     """
-    d = None
-    for (_, levels, _) in phi._entries:
-        d = len(levels) + 2
-        break
-    if d is None:
-        return phi
-    ls = sorted({levels[0] for (_, levels, _) in phi._entries})
-    label_order = {l: {(L.levels, L.m): i for i, L in enumerate(multi_indices(d, l))} for l in ls}
-    for l in ls:
+    space, data = phi._space, phi._data
+    out = np.zeros_like(data)
+    for l in np.flatnonzero(np.bincount(space.l[phi._entries[:, 1]])).tolist():
         if l not in blocks:
             raise ValueError(f"missing rotation block for l = {l}")
-        n = len(label_order[l])
+        lo, hi = np.searchsorted(space.l, [l, l + 1])
         block = np.asarray(blocks[l])
-        if block.shape != (n, n):
+        if block.shape != (hi - lo, hi - lo):
             raise ValueError(f"rotation block for l = {l} has wrong shape")
-    omegas = sorted({omega for (omega, _, _) in phi._entries})
-    new_entries = {}
-    for omega in omegas:
-        for l in ls:
-            order = label_order[l]
-            vec_a = np.zeros(len(order), dtype=complex)
-            vec_b = np.zeros(len(order), dtype=complex)
-            hit = False
-            for (levels, m), i in order.items():
-                a, b = phi.get(omega, levels, m)
-                if a != 0.0 or b != 0.0:
-                    hit = True
-                vec_a[i] = a
-                vec_b[i] = b
-            if not hit:
-                continue
-            block = np.asarray(blocks[l])
-            vec_a = block @ vec_a
-            vec_b = block @ vec_b
-            for (levels, m), i in order.items():
-                if vec_a[i] != 0.0 or vec_b[i] != 0.0:
-                    new_entries[(omega, levels, m)] = (vec_a[i], vec_b[i])
-    return ModeVector(phi.freq_grid, new_entries)
+        slab = data[:, lo:hi]
+        hit = (slab != 0).any(axis=(1, 2))
+        # (n, 1) columns: each (frequency, channel) gets its own matrix-vector
+        # product, so its result does not depend on which others share the slab
+        columns = np.ascontiguousarray(slab[hit].transpose(0, 2, 1))[..., None]
+        out[hit, lo:hi] = (block @ columns)[..., 0].transpose(0, 2, 1)
+    return phi._new(out, np.argwhere((out != 0).any(axis=2)))
 
 
 def is_real_solution(phi, tol=1e-12):
     """True when a(-omega, -m) = conj(a(omega, m)) and likewise for b."""
     if not phi.grid_is_symmetric():
         raise ValueError("reality predicate requires a symmetric frequency grid")
-    for (omega, levels, m), (a, b) in phi._entries.items():
-        a2, b2 = phi.get(-omega, levels, -m)
-        if abs(a2 - np.conj(a)) > tol or abs(b2 - np.conj(b)) > tol:
-            return False
-    return True
+    mirror = phi._data[::-1][:, phi._space.partner]
+    return not np.any(np.abs(mirror - np.conj(phi._data)) > tol)
 
 
 def random_real_mode_vector(d, omegas, l_max, rng, amplitude=1.0):
@@ -359,15 +398,13 @@ def random_real_mode_vector(d, omegas, l_max, rng, amplitude=1.0):
     omegas = sorted({abs(float(w)) for w in omegas})
     if any(w == 0.0 for w in omegas):
         raise ValueError("use nonzero frequencies for random real vectors")
-    grid = [(w, 1.0) for w in omegas] + [(-w, 1.0) for w in omegas]
-    entries = {}
-    for w in omegas:
-        for l in range(l_max + 1):
-            for idx in multi_indices(d, l):
-                a = amplitude * (rng.normal() + 1j * rng.normal())
-                b = amplitude * (rng.normal() + 1j * rng.normal())
-                entries[(w, idx.levels, idx.m)] = (a, b)
-    full = dict(entries)
-    for (w, levels, m), (a, b) in entries.items():
-        full[(-w, levels, -m)] = (np.conj(a), np.conj(b))
-    return ModeVector(grid, full)
+    phi = ModeVector([(w, 1.0) for w in omegas] + [(-w, 1.0) for w in omegas], {})
+    space = _label_space(d, l_max)
+    n, size = len(omegas), len(space.labels)
+    # four normal draws per label, in the order (Re a, Im a, Re b, Im b)
+    values = (amplitude * rng.normal(size=(n, size, 4))).view(complex)
+    data = np.concatenate([np.conj(values[::-1][:, space.partner]), values])
+    i, j = np.divmod(np.arange(n * size), size)
+    # the positive frequencies first, then their (-omega, -m) partners
+    entries = np.concatenate([np.stack([n + i, j], 1), np.stack([n - 1 - i, space.partner[j]], 1)])
+    return phi._new(data, entries, space)

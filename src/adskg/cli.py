@@ -39,7 +39,8 @@ def write_rows(header, rows, out_format, out_path):
         text = "\n".join(lines) + "\n"
     else:
         payload = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+        # complex values become the same fmt strings as in CSV cells
+        text = json.dumps(payload, indent=1, sort_keys=True, default=fmt) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -344,7 +345,6 @@ def cmd_jfactor_audit(args):
         for l in range(args.lmax + 1)
     ]
     jf = _build_jfactors(args, p, grid)
-    keys = jf.keys()
     rep = acs.check_conditions(jf, tol=args.tolerance)
     header = [
         "omega",
@@ -358,27 +358,11 @@ def cmd_jfactor_audit(args):
         "compat_residual",
         "positive",
     ]
-    rows = []
-    for (w, l) in keys:
-        jaa, jab, jba, jbb = jf.get(w, l)
-        single = acs.check_conditions(
-            acs.JFactors({(w, l): (jaa, jab, jba, jbb), (-w, l): jf.get(-w, l)}),
-            tol=args.tolerance,
-        )
-        rows.append(
-            [
-                w,
-                l,
-                jaa,
-                jab,
-                jba,
-                jbb,
-                single.case,
-                max(single.residuals["square_a"], single.residuals["square_b"]),
-                single.residuals["compat"],
-                single.positivity_ok,
-            ]
-        )
+    pairs, table = rep.pairs, jf.table
+    res = pairs["residuals"]
+    square = map(max, res["square_a"], res["square_b"])
+    columns = zip(pairs["case"], square, res["compat"], pairs["positivity_ok"])
+    rows = [[w, l, *table[(w, l)], *cells] for (w, l), cells in zip(jf.keys(), columns)]
     write_rows(header, rows, args.format, args.out)
     print(
         f"case={rep.case} essential_ok={rep.essential_ok} "

@@ -104,6 +104,30 @@ class TestCheckConditions:
         rep = check_conditions(jf)
         assert not rep.reality_ok
 
+    @pytest.mark.parametrize("jab", [-1e-3, 1e-3, -1e-6, 1e-6, -1e-9, 1e-9])
+    def test_small_jab_is_nondiagonal(self, jab):
+        # jba = -1/jab is large; it must not set the scale jab is tested against
+        rep = check_conditions(JFactors({(w, 0): complete_nondiagonal(jab) for w in (0.5, -0.5)}))
+        assert rep.case == "nondiagonal" and rep.essential_ok
+        assert rep.positivity_ok == (jab < 0.0)
+
+    def test_pairs_match_two_key_reports(self):
+        table = candidate_jfactors(1, P3, GRID).table
+        table[(1.5, 0)], table[(-1.5, 0)] = (1j, 0.0, 0.0, 1j), (-1j, 0.0, 0.0, -1j)
+        table[(0.5, 1)] = table[(-0.5, 1)] = (1j, 0.0, 0.0, 1j)  # diagonal, but not real
+        table[(1.5, 2)] = (-1j, 0.0, 0.0, -1j)  # diagonal beside a nondiagonal mirror
+        table[(-0.5, 2)] = (0.0, 1.0, 1.0, 0.0)  # square fails
+        jf = JFactors(table)
+        rep = check_conditions(jf)
+        for k, (w, l) in enumerate(jf.keys()):
+            alone = check_conditions(JFactors({(w, l): jf.get(w, l), (-w, l): jf.get(-w, l)}))
+            for name in ("reality_ok", "square_ok", "compat_ok", "offdiag_ok", "case"):
+                assert rep.pairs[name][k] == getattr(alone, name)
+            assert rep.pairs["positivity_ok"][k] == alone.positivity_ok
+            for name, worst in alone.residuals.items():
+                assert rep.pairs["residuals"][name][k] == worst
+        assert set(rep.pairs["case"]) == {"diagonal", "nondiagonal", "invalid"}
+
 
 class TestCompleteNondiagonal:
     def test_minus_one(self):

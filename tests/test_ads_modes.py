@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -197,6 +198,27 @@ class TestModeVector:
         )
         assert is_real_solution(paired)
 
+    def test_explicit_zero_entries_are_kept(self):
+        grid = [(1.0, 0.5), (-1.0, 0.5)]
+        given = {(1.0, (1,), 0): (0.0, 0.0), (-1.0, (1,), -1): (1.0, 2.0j)}
+        phi = ModeVector(grid, given)
+        assert phi.entries == given
+        assert len(phi._entries) == 2
+        assert phi.get(1.0, (1,), 1) == (0.0, 0.0)
+        rows = json.loads(phi.to_json())["entries"]
+        assert [(row["omega"], row["m"]) for row in rows] == [(-1.0, -1), (1.0, 0)]  # sorted
+        back = mode_vector_from_json(phi.to_json())
+        assert back == phi and back.entries == given
+        assert back != ModeVector(grid, {(-1.0, (1,), -1): (1.0, 2.0j)})
+
+    def test_label_validation(self):
+        grid = [(1.0, 1.0)]
+        for levels, m in (((1,), 2), ((1, 2), 0), ((-1,), 0), ((), 0)):
+            with pytest.raises(ValueError):
+                ModeVector(grid, {(1.0, levels, m): (1.0, 0.0)})
+        with pytest.raises(ValueError):
+            ModeVector(grid, {(1.0, (1,), 0): (1.0, 0.0), (1.0, (1, 0), 0): (1.0, 0.0)})
+
     def test_reality_needs_symmetric_grid(self):
         phi = ModeVector([(1.0, 1.0)], {})
         with pytest.raises(ValueError):
@@ -238,6 +260,25 @@ class TestOmegaRho:
         b = ModeVector([(2.0, 1.0)], {})
         with pytest.raises(ValueError):
             omega_rho(p, a, b)
+
+    def test_dimension_mismatch_rejected(self):
+        grid = [(1.0, 1.0), (-1.0, 1.0)]
+        a = ModeVector(grid, {(1.0, (1,), 0): (1.0, 0.0)})
+        b = ModeVector(grid, {(-1.0, (1, 0), 0): (0.0, 1.0)})
+        with pytest.raises(ValueError):
+            omega_rho(AdSParams(3, 4.2), a, b)
+
+    def test_partners_across_label_spaces(self):
+        # eta reaches l = 3, zeta only l = 1; an -omega off the grid pairs with zero
+        p = AdSParams(3, 4.2)
+        grid = [(2.0, 1.0), (-2.0, 1.0), (3.0, 1.0)]
+        eta = ModeVector(
+            grid,
+            {(2.0, (1,), 1): (1.0, 0.0), (3.0, (0,), 0): (1.0, 1.0), (2.0, (3,), 0): (1.0, 0.0)},
+        )
+        zeta = ModeVector(grid, {(-2.0, (1,), -1): (0.0, 2.0), (-2.0, (0,), 0): (5.0, 5.0)})
+        assert omega_rho(p, eta, zeta) == pytest.approx(3.0 * 2.0 * math.pi)
+        assert omega_rho(p, zeta, eta) == pytest.approx(-3.0 * 2.0 * math.pi)
 
 
 class TestIsometries:

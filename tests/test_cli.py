@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -131,6 +132,19 @@ class TestJfactorAudit:
         header = lines[0].split(",")
         i_pos = header.index("positive")
         assert all(line.split(",")[i_pos] == "True" for line in lines[1:])
+
+    def test_json_rows_equal_csv_rows(self, tmp_path):
+        argv = ["jfactor-audit", "--omega", "0:1.5:0.5", "--lmax", "2", "--out"]
+        assert cli.main(argv + [str(tmp_path / "a.csv")]) == cli.EXIT_OK
+        assert cli.main(argv + [str(tmp_path / "a.json"), "--format", "json"]) == cli.EXIT_OK
+        with open(tmp_path / "a.csv", newline="") as fh:
+            csv_rows = list(csv.DictReader(fh))
+        json_rows = json.loads((tmp_path / "a.json").read_text())
+        assert len(json_rows) == len(csv_rows) == 21
+        for j_row, c_row in zip(json_rows, csv_rows):
+            assert {key: cli.fmt(v) for key, v in j_row.items()} == c_row
+            assert complex(j_row["jab"]) == complex(c_row["jab"])
+            assert isinstance(j_row["positive"], bool)
 
 
 class TestFluxClassify:
