@@ -19,7 +19,6 @@ from .specfun import (
     gamma_value,
     double_factorial,
     a_coeff,
-    ortho_poly,
     hyp2f1,
     radial_basis,
     radial_basis_deriv,

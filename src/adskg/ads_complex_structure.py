@@ -129,7 +129,9 @@ def _key_conditions(values, mirror, tol):
 
     mirror holds the j-factors at (-omega, l).  Each off-diagonal entry
     is tested against a scale that leaves out its reciprocal partner
-    (jba = -(1 + jaa^2)/jab), so a small valid jab is not swamped.
+    (jba = -(1 + jaa^2)/jab), so a small valid jab is not swamped; the
+    nondiagonal case is told by jab jba = -(1 + jaa^2), which does not
+    vanish however small jab is.
     """
     jaa, jab, jba, jbb = np.moveaxis(values, -1, 0)
     scale = np.maximum(1.0, np.maximum(np.abs(jaa) ** 2, np.abs(jab * jba)))
@@ -159,7 +161,7 @@ def _key_conditions(values, mirror, tol):
         & (np.abs(np.abs(jaa.imag) - 1.0) <= tol_d)
     )
     nondiag = (
-        (np.abs(jab.real) > tol_ab)
+        (np.abs(jab * jba) > tol_d)
         & (np.abs(jaa.imag) <= tol_d)
         & (np.abs(jab.imag) <= tol_ab)
         & (np.abs(jba.imag) <= tol_ba)
@@ -278,16 +280,20 @@ def boost_recurrence_residual_ba(p, jba, omega, l):
 
 
 def _gamma_product(numerator, denominator):
-    """exp(sum log|Gamma| numerator - denominator) with sign tracking."""
+    """exp(sum log|Gamma| numerator - denominator) with sign tracking.
+
+    Each side is summed in sorted argument order, so a candidate's value
+    does not depend on how its arguments are listed; -omega swaps them.
+    """
     log_total = 0.0
     sign = 1
-    for x in numerator:
+    for x in sorted(numerator):
         g = log_gamma_signed(x)
         if g.is_pole:
             raise PoleError(f"Gamma pole at argument {x}")
         log_total += g.log_abs
         sign *= g.sign
-    for x in denominator:
+    for x in sorted(denominator):
         g = log_gamma_signed(x)
         if g.is_pole:
             raise PoleError(f"Gamma pole at argument {x}")

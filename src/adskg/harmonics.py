@@ -16,7 +16,7 @@ the corresponding active rotation).
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -174,6 +174,21 @@ def norm_const(d, L):
     return n
 
 
+def _axis_factors(L, cos, sin):
+    """The real factor of Y_L on each polar axis theta_{d-1}, ..., theta_2 in turn.
+
+    sin^{l_{k-1}} C_{l_k - l_{k-1}}^{l_{k-1} + (k-1)/2}(cos) on theta_k for
+    k > 2, then P_{l_2}^{|m|}(cos) on theta_2; the norm and e^{i m phi}
+    are left to the caller.  cos(i) and sin(i) give the i-th axis's cos
+    and sin and are called only when that axis comes up.
+    """
+    levels = L.levels
+    for i, k in enumerate(range(L.dim - 1, 2, -1)):
+        lk, lk1 = levels[i], levels[i + 1]
+        yield sin(i) ** lk1 * gegenbauer_c(lk - lk1, lk1 + (k - 1) / 2.0, cos(i))
+    yield legendre_p(levels[-1], abs(L.m), cos(len(levels) - 1))
+
+
 def eval_harmonic_angles(d, L, angles):
     """Vectorized harmonic evaluation.
 
@@ -182,16 +197,12 @@ def eval_harmonic_angles(d, L, angles):
     if L.dim != d:
         raise ValueError("MultiIndex does not match dimension d")
     angles = np.asarray(angles, dtype=float)
-    levels = L.levels
     out = np.full(angles.shape[:-1], norm_const(d, L), dtype=complex)
-    for i, k in enumerate(range(d - 1, 2, -1)):
-        lk, lk1 = levels[i], levels[i + 1]
-        theta = angles[..., d - 1 - k]
-        ct, st = np.cos(theta), np.sin(theta)
-        out *= st**lk1 * gegenbauer_c(lk - lk1, lk1 + (k - 1) / 2.0, ct)
-    theta2 = angles[..., -2]
-    phi = angles[..., -1]
-    out *= legendre_p(levels[-1], abs(L.m), np.cos(theta2)) * np.exp(1j * L.m * phi)
+    factors = _axis_factors(L, lambda i: np.cos(angles[..., i]), lambda i: np.sin(angles[..., i]))
+    for i, fac in enumerate(factors):
+        if i == d - 3:  # the base axis carries e^{i m phi}
+            fac = fac * np.exp(1j * L.m * angles[..., -1])
+        out *= fac
     return out
 
 
@@ -306,6 +317,22 @@ def _quadrature_axes(d, order):
     return tuple(axes), (phi, wphi)
 
 
+def _quadrature_weights(d, order):
+    """Flat weights of the tensor-product rule, in sphere_quadrature point order."""
+    axes, (_, wphi) = _quadrature_axes(d, order)
+    return reduce(np.multiply.outer, [wk for (_, wk) in axes] + [wphi]).reshape(-1)
+
+
+def _axis_tables(d, L_list, order):
+    """Per-axis factor tables on the quadrature nodes, one (labels, nodes) array per axis."""
+    if any(L.dim != d for L in L_list):
+        raise ValueError("MultiIndex does not match dimension d")
+    us = [u for (u, _) in _quadrature_axes(d, order)[0]]
+    sins = [np.sqrt(np.maximum(0.0, 1.0 - u * u)) for u in us]
+    rows = [_axis_factors(L, us.__getitem__, sins.__getitem__) for L in L_list]
+    return [np.array(table) for table in zip(*rows)]
+
+
 def sphere_quadrature(d, order):
     """Tensor-product quadrature on S^(d-1).
 
@@ -317,15 +344,11 @@ def sphere_quadrature(d, order):
     """
     if order < 4:
         raise ValueError("sphere_quadrature requires order >= 4")
-    axes, (phi, wphi) = _quadrature_axes(d, order)
+    axes, (phi, _) = _quadrature_axes(d, order)
     grids = [np.arccos(u) for (u, _) in axes] + [phi]
     mesh = np.meshgrid(*grids, indexing="ij")
     angles = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    w = np.ones(())
-    for (_, wk) in axes:
-        w = np.multiply.outer(w, wk)
-    w = np.multiply.outer(w, wphi).reshape(-1)
-    return angles, w
+    return angles, _quadrature_weights(d, order)
 
 
 def sphere_inner(d, f, g, order=24):
@@ -344,31 +367,14 @@ def harmonic_grid_matrix(d, L_list, order=24):
     grid, built from the same per-angle factors as eval_harmonic but
     expanded axis by axis, which keeps large Gram checks affordable.
     """
-    axes, (phi, wphi) = _quadrature_axes(d, order)
-    us = [u for (u, _) in axes]
-    sins = [np.sqrt(np.maximum(0.0, 1.0 - u * u)) for u in us]
-    n_pts = int(np.prod([len(u) for u in us])) * len(phi)
-    out = np.empty((len(L_list), n_pts), dtype=complex)
+    tables = _axis_tables(d, L_list, order)
+    phi = _quadrature_axes(d, order)[1][0]
+    w = _quadrature_weights(d, order)
+    out = np.empty((len(L_list), len(w)), dtype=complex)
     for row, L in enumerate(L_list):
-        if L.dim != d:
-            raise ValueError("MultiIndex does not match dimension d")
-        levels = L.levels
-        factors = []
-        for i, k in enumerate(range(d - 1, 2, -1)):
-            lk, lk1 = levels[i], levels[i + 1]
-            factors.append(
-                sins[i] ** lk1 * gegenbauer_c(lk - lk1, lk1 + (k - 1) / 2.0, us[i])
-            )
-        factors.append(legendre_p(levels[-1], abs(L.m), us[-1]))
-        factors.append(np.exp(1j * L.m * phi))
-        acc = np.asarray(norm_const(d, L), dtype=complex)
-        for fac in factors:
-            acc = np.multiply.outer(acc, fac)
-        out[row] = acc.reshape(-1)
-    w = np.ones(())
-    for (_, wk) in axes:
-        w = np.multiply.outer(w, wk)
-    w = np.multiply.outer(w, wphi).reshape(-1)
+        factors = [t[row] for t in tables] + [np.exp(1j * L.m * phi)]
+        norm = np.asarray(norm_const(d, L), dtype=complex)
+        out[row] = reduce(np.multiply.outer, factors, norm).reshape(-1)
     return out, w
 
 
@@ -381,8 +387,6 @@ def harmonic_gram(d, L_list, order=24):
     azimuthal Kronecker delta (the 2*order-point trapezoid integrates
     e^{i(m - m')phi} exactly for |m - m'| < 2*order).
     """
-    axes, (phi, _) = _quadrature_axes(d, order)
-    n = len(L_list)
     ms = np.array([L.m for L in L_list])
     for L in L_list:
         if L.dim != d:
@@ -392,20 +396,8 @@ def harmonic_gram(d, L_list, order=24):
     gram = 2.0 * math.pi * (ms[:, None] == ms[None, :]).astype(float)
     norms = np.array([norm_const(d, L) for L in L_list])
     gram *= norms[:, None] * norms[None, :]
-    for i, k in enumerate(range(d - 1, 2, -1)):
-        u, w = axes[i]
-        st = np.sqrt(np.maximum(0.0, 1.0 - u * u))
-        fac = np.stack(
-            [
-                st ** L.levels[i + 1]
-                * gegenbauer_c(L.levels[i] - L.levels[i + 1], L.levels[i + 1] + (k - 1) / 2.0, u)
-                for L in L_list
-            ]
-        )
+    for fac, (_, w) in zip(_axis_tables(d, L_list, order), _quadrature_axes(d, order)[0]):
         gram *= (fac * w) @ fac.T
-    u, w = axes[-1]
-    fac = np.stack([legendre_p(L.levels[-1], abs(L.m), u) for L in L_list])
-    gram *= (fac * w) @ fac.T
     return gram
 
 
@@ -539,15 +531,21 @@ def wigner_block_quadrature(d, l, rot, order=24):
     D_{L L'} = int dOmega conj(Y_L(rot Omega)) Y_L'(Omega) over the
     multi_indices(d, l) label order.  Paired with c' = D c, the
     coefficients track the point map given by the transpose (= inverse)
-    of rot.
+    of rot.  The reference rows and weights are harmonic_grid_matrix's,
+    whose points are sphere_quadrature's in the same order; only the
+    rotated rows are evaluated pointwise.
     """
     labels = multi_indices(d, l)
-    angles, w = sphere_quadrature(d, order)
-    rot = np.asarray(rot, dtype=float)
-    rotated = to_angles(to_cartesian(angles) @ rot.T)
-    y_rot = np.stack([eval_harmonic_angles(d, L, rotated) for L in labels])
-    y_ref = np.stack([eval_harmonic_angles(d, L, angles) for L in labels])
-    return (np.conj(y_rot) * w[None, :]) @ y_ref.T
+    angles, _ = sphere_quadrature(d, order)
+    rotated = to_angles(to_cartesian(angles) @ np.asarray(rot, dtype=float).T)
+    # rows are written in place: at d = 5, order 24 each one holds 663k points
+    y_rot = np.empty((len(labels), len(rotated)), dtype=complex)
+    for row, L in enumerate(labels):
+        y_rot[row] = eval_harmonic_angles(d, L, rotated)
+    y_ref, w = harmonic_grid_matrix(d, labels, order)
+    np.conj(y_rot, out=y_rot)
+    y_rot *= w
+    return y_rot @ y_ref.T
 
 
 def rotate_coeffs(d, l, block, coeffs):

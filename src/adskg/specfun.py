@@ -22,7 +22,6 @@ __all__ = [
     "gamma_value",
     "double_factorial",
     "a_coeff",
-    "ortho_poly",
     "legendre_p",
     "gegenbauer_c",
     "hyp2f1",
@@ -186,23 +185,6 @@ def gegenbauer_c(n, alpha, x):
     return c1 if c1.shape else float(c1)
 
 
-def ortho_poly(family, p1, p2, x):
-    """Dispatch for the two orthogonal-polynomial families in use.
-
-    family = "assoc_legendre": p1 = m (|m| <= p2 = l), x in [-1, 1].
-    family = "gegenbauer":     p1 = alpha > -1/2, p2 = n >= 0.
-    """
-    if family == "assoc_legendre":
-        m = int(p1)
-        l = int(p2)
-        if abs(m) > l:
-            raise ValueError("assoc_legendre requires |m| <= l")
-        return legendre_p(l, abs(m), x)
-    if family == "gegenbauer":
-        return gegenbauer_c(int(p2), float(p1), x)
-    raise ValueError(f"unknown family {family!r}")
-
-
 _HYP_MAX_TERMS = 10000
 _HYP_TAIL = 1e-13
 _HYP_Z_MAX = 0.95
@@ -244,8 +226,12 @@ def hyp2f1_dz(a, b, c, z):
     return a * b / c * hyp2f1(a + 1.0, b + 1.0, c + 1.0, z)
 
 
-def _series_j(l, x):
-    """Power series for j_l, good for small and moderate x."""
+def _series_j(l, x, sign=-1.0):
+    """Power series for j_l, good for small and moderate x.
+
+    sign = +1 gives the evanescent companion i^{-l} j_l(ix), a manifestly
+    real series.
+    """
     pref = x**l
     if pref == 0.0:
         return 0.0
@@ -253,23 +239,28 @@ def _series_j(l, x):
     total = term
     x2 = x * x
     for k in range(1, 400):
-        term *= -0.5 * x2 / (k * (2.0 * l + 2.0 * k + 1.0))
+        term *= sign * 0.5 * x2 / (k * (2.0 * l + 2.0 * k + 1.0))
         total += term
         if abs(term) <= 1e-17 * abs(total):
             break
     return pref * total
 
 
-def _series_n(l, x):
-    """Power series for n_l; all-orders single-sum form."""
+def _series_n(l, x, sign=-1.0):
+    """Power series for n_l; all-orders single-sum form.
+
+    sign = +1 gives the evanescent companion i^{l+1} n_l(ix), a manifestly
+    real series.
+    """
     if math.log(double_factorial(2 * l - 1)) - (l + 1) * math.log(x) > 700.0:
-        raise OverflowError(f"n_{l} overflows at x = {x}")
+        kind = "evanescent n" if sign > 0 else "n"
+        raise OverflowError(f"{kind}_{l} overflows at x = {x}")
     pref = -double_factorial(2 * l - 1) / x ** (l + 1)
     term = 1.0
     total = term
     x2 = x * x
     for k in range(1, 400):
-        term *= -0.5 * x2 / (k * (2.0 * k - 2.0 * l - 1.0))
+        term *= sign * 0.5 * x2 / (k * (2.0 * k - 2.0 * l - 1.0))
         total += term
         if abs(term) <= 1e-17 * max(1.0, abs(total)):
             break
@@ -337,44 +328,14 @@ def _j_n(l, x):
     return so * s + se * c, -so * c + se * s
 
 
-def _series_j_evan(l, x):
-    """i^{-l} j_l(ix): manifestly real series."""
-    pref = x**l
-    term = 1.0 / double_factorial(2 * l + 1)
-    total = term
-    x2 = x * x
-    for k in range(1, 400):
-        term *= 0.5 * x2 / (k * (2.0 * l + 2.0 * k + 1.0))
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            break
-    return pref * total
-
-
-def _series_n_evan(l, x):
-    """i^{l+1} n_l(ix): manifestly real series."""
-    if math.log(double_factorial(2 * l - 1)) - (l + 1) * math.log(x) > 700.0:
-        raise OverflowError(f"evanescent n_{l} overflows at x = {x}")
-    pref = -double_factorial(2 * l - 1) / x ** (l + 1)
-    term = 1.0
-    total = term
-    x2 = x * x
-    for k in range(1, 400):
-        term *= 0.5 * x2 / (k * (2.0 * k - 2.0 * l - 1.0))
-        total += term
-        if abs(term) <= 1e-17 * max(1.0, abs(total)):
-            break
-    return pref * total
-
-
 def radial_basis(kind, l, x):
     """Spherical radial functions as complex values.
 
     kind: "j", "n", "h1", "h2", "j_evan", "n_evan".
     j and n switch from power series to the exact trig decomposition at
     x = l + 4; h1/h2 use the closed form e^{+-ix} S^{+-}_l; the evanescent
-    pair uses the dedicated real series rather than complex-argument
-    substitution.
+    pair uses the power series with the sign of x^2 flipped rather than
+    complex-argument substitution.
     """
     if l < 0:
         raise ValueError("radial_basis requires l >= 0")
@@ -389,9 +350,9 @@ def radial_basis(kind, l, x):
     if kind == "h2":
         return cmath.exp(-1j * x) * s_plus(l, x, kind=2)
     if kind == "j_evan":
-        return complex(_series_j_evan(l, x))
+        return complex(_series_j(l, x, sign=1.0))
     if kind == "n_evan":
-        return complex(_series_n_evan(l, x))
+        return complex(_series_n(l, x, sign=1.0))
     raise ValueError(f"unknown radial kind {kind!r}")
 
 

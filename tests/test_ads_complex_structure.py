@@ -104,7 +104,7 @@ class TestCheckConditions:
         rep = check_conditions(jf)
         assert not rep.reality_ok
 
-    @pytest.mark.parametrize("jab", [-1e-3, 1e-3, -1e-6, 1e-6, -1e-9, 1e-9])
+    @pytest.mark.parametrize("jab", [-1e-3, 1e-3, -1e-6, 1e-6, -1e-9, 1e-9, -1e-11, 1e-11, -1e-13, 1e-13])
     def test_small_jab_is_nondiagonal(self, jab):
         # jba = -1/jab is large; it must not set the scale jab is tested against
         rep = check_conditions(JFactors({(w, 0): complete_nondiagonal(jab) for w in (0.5, -0.5)}))
@@ -245,6 +245,15 @@ class TestCandidates:
     def test_frequency_symmetry_exact(self):
         for which in (1, 2, 3, 4):
             assert candidate_jab(which, P3, 1.3, 2) == candidate_jab(which, P3, -1.3, 2)
+        # -omega swaps the Gamma arguments of each pair; the sum must not follow
+        p = AdSParams(5, 3.3)
+        assert candidate_jab(2, p, 0.75, 5) == candidate_jab(2, p, -0.75, 5)
+        for d, delta in ((3, 4.2), (4, 4.9), (5, 3.3), (6, 6.7)):
+            p = AdSParams(d, delta)
+            for which in (1, 2, 3, 4):
+                for omega in np.arange(0.05, 5.0, 0.2):
+                    for l in range(11):
+                        assert candidate_jab(which, p, omega, l) == candidate_jab(which, p, -omega, l)
 
     def test_pole_reported_with_argument(self):
         # Delta = 4, omega = 0, l = 0, d = 3: alpha_b = (4 - 0 - 0 - 1)/2 ... no pole;

@@ -13,6 +13,7 @@ from adskg.harmonics import (
     eval_harmonic_dcos,
     harmonic_fn,
     harmonic_grid_matrix,
+    harmonic_gram,
     ladder_coeffs,
     multi_indices,
     norm_const,
@@ -112,6 +113,25 @@ class TestQuadrature:
     def test_quadrature_order_guard(self):
         with pytest.raises(ValueError):
             sphere_quadrature(3, 2)
+
+    def test_grid_matrix_point_order(self):
+        # wigner_block_quadrature pairs grid-matrix reference rows with
+        # pointwise rows at sphere_quadrature's angles: same points, same order
+        for d in (3, 4, 5):
+            idx = all_indices(d, 3)
+            y, w = harmonic_grid_matrix(d, idx, order=5)
+            angles, w_quad = sphere_quadrature(d, 5)
+            assert np.array_equal(w, w_quad)
+            pointwise = np.stack([eval_harmonic_angles(d, L, angles) for L in idx])
+            assert np.abs(y - pointwise).max() < 1e-13
+
+    def test_grid_matrix_and_gram_below_quadrature_guard(self):
+        # order l_max + 1 integrates every product exactly, even below 4
+        idx = all_indices(4, 2)
+        y, w = harmonic_grid_matrix(4, idx, order=3)
+        gram = harmonic_gram(4, idx, order=3)
+        assert np.abs((np.conj(y) * w) @ y.T - gram).max() < 1e-13
+        assert np.abs(gram - np.eye(len(idx))).max() < 1e-13
 
 
 class TestLadder:

@@ -10,9 +10,10 @@ from adskg.specfun import (
     a_coeff,
     double_factorial,
     gamma_value,
+    gegenbauer_c,
     hyp2f1,
+    legendre_p,
     log_gamma_signed,
-    ortho_poly,
     phase_shifted_trig,
     radial_basis,
     s_even,
@@ -96,15 +97,17 @@ class TestACoeff:
 
 
 class TestOrthoPoly:
+    """legendre_p and gegenbauer_c, the two orthogonal-polynomial families in use."""
+
     def test_gegenbauer_degree_zero(self):
         for x in (-0.7, 0.0, 0.9):
-            assert ortho_poly("gegenbauer", 1.5, 0, x) == 1.0
+            assert gegenbauer_c(0, 1.5, x) == 1.0
 
     def test_legendre_l1(self):
-        assert ortho_poly("assoc_legendre", 0, 1, 0.3) == pytest.approx(0.3, abs=1e-15)
+        assert legendre_p(1, 0, 0.3) == pytest.approx(0.3, abs=1e-15)
 
     def test_gegenbauer_degree_one(self):
-        assert ortho_poly("gegenbauer", 1.0, 1, 0.5) == pytest.approx(1.0, rel=1e-14)
+        assert gegenbauer_c(1, 1.0, 0.5) == pytest.approx(1.0, rel=1e-14)
 
     def test_gegenbauer_classical_values(self):
         # C_2^alpha(x) = 2 alpha(alpha+1) x^2 - alpha
@@ -113,22 +116,22 @@ class TestOrthoPoly:
             alpha = rng.uniform(0.5, 6.0)
             x = rng.uniform(-1.0, 1.0)
             want = 2.0 * alpha * (alpha + 1.0) * x * x - alpha
-            assert ortho_poly("gegenbauer", alpha, 2, x) == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert gegenbauer_c(2, alpha, x) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_legendre_matches_rodrigues_expansion(self):
         # P_3^2(x) = 15 x (1 - x^2), no Condon-Shortley sign
         for x in np.linspace(-1, 1, 9):
-            assert ortho_poly("assoc_legendre", 2, 3, x) == pytest.approx(
+            assert legendre_p(3, 2, x) == pytest.approx(
                 15.0 * x * (1.0 - x * x), abs=1e-12
             )
 
     def test_domain_rejection(self):
         with pytest.raises(ValueError):
-            ortho_poly("assoc_legendre", 3, 2, 0.1)
+            legendre_p(2, 3, 0.1)
         with pytest.raises(ValueError):
-            ortho_poly("assoc_legendre", 0, 2, 1.5)
+            legendre_p(2, 0, 1.5)
         with pytest.raises(ValueError):
-            ortho_poly("gegenbauer", -0.7, 2, 0.1)
+            gegenbauer_c(2, -0.7, 0.1)
 
     def test_high_degree_against_mpmath(self):
         # recurrence stability up to degree 30 (mpmath legenp carries the
@@ -140,7 +143,7 @@ class TestOrthoPoly:
             alpha = float(rng.uniform(0.6, 8.0))
             x = float(rng.uniform(-0.95, 0.95))
             want = float(mp.gegenbauer(n, alpha, x))
-            assert ortho_poly("gegenbauer", alpha, n, x) == pytest.approx(
+            assert gegenbauer_c(n, alpha, x) == pytest.approx(
                 want, rel=1e-11, abs=1e-11
             )
         for _ in range(15):
@@ -148,7 +151,7 @@ class TestOrthoPoly:
             m = int(rng.integers(0, l + 1))
             x = float(rng.uniform(-0.95, 0.95))
             want = (-1.0) ** m * float(mp.legenp(l, m, x))
-            assert ortho_poly("assoc_legendre", m, l, x) == pytest.approx(
+            assert legendre_p(l, m, x) == pytest.approx(
                 want, rel=1e-11, abs=1e-11
             )
 
@@ -220,6 +223,20 @@ class TestRadialBasis:
         v = radial_basis("j_evan", 0, 1.0)
         assert v.imag == 0.0
         assert v.real == pytest.approx(math.sinh(1.0), rel=1e-13)
+
+    @pytest.mark.parametrize("kind", ["j_evan", "n_evan"])
+    def test_evanescent_against_mpmath(self, kind):
+        # i^{-l} j_l(ix) and i^{l+1} n_l(ix) from complex-argument Bessel functions
+        mp = pytest.importorskip("mpmath")
+        bessel, power = {"j_evan": (mp.besselj, lambda l: -l), "n_evan": (mp.bessely, lambda l: l + 1)}[kind]
+        for l in range(7):
+            for x in (0.5, 2.0, 5.0):
+                with mp.workdps(30):
+                    z = mp.mpc(0, x)
+                    want = mp.sqrt(mp.pi / (2 * z)) * bessel(l + 0.5, z) * mp.mpc(0, 1) ** power(l)
+                got = radial_basis(kind, l, x)
+                assert got.imag == 0.0
+                assert got.real == pytest.approx(float(want.real), rel=1e-13)
 
     def test_j1_closed_form(self):
         for x in (0.3, 2.0, 7.5, 20.0):
