@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._jsonio import encode_array, read_records, records
 from .ads_modes import _cmul, _find, _ordered_sum, is_real_solution
 from .specfun import PoleError, log_gamma_signed
 
@@ -77,16 +78,15 @@ class JFactors:
         return bool(_find(self._codes, complex(float(omega), int(l))) >= 0)
 
     def to_json(self):
-        rows = [
-            {"omega": omega, "l": l, **{name: [v.real, v.imag] for name, v in zip(_FACTORS, row)}}
-            for (omega, l), row in zip(self._keys, self._values.tolist())
-        ]
-        return json.dumps(rows, indent=1)
+        omegas, ls = self._codes.real, self._codes.imag.astype(int)
+        cells = np.column_stack([encode_array(a) for a in (omegas, ls, self._values.view(float))])
+        fields = [("omega", None), ("l", None)] + [(name, 2) for name in _FACTORS]
+        return records(fields, len(self._keys), cells.ravel().tolist())
 
 
 def jfactors_from_json(text):
-    rows = json.loads(text)
-    return JFactors({(r["omega"], r["l"]): tuple(complex(*r[n]) for n in _FACTORS) for r in rows})
+    (omegas, ls), values = read_records(json.loads(text), ("omega", "l"), pairs=_FACTORS)
+    return JFactors(dict(zip(zip(omegas, ls), values.tolist())))
 
 
 def apply_J(jf, phi):

@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._jsonio import encode_array, read_records, records
 from .harmonics import MultiIndex, all_indices
 from .specfun import PoleError, POLE_TOL, hyp2f1, hyp2f1_dz
 
@@ -161,6 +162,7 @@ class _LabelSpace(NamedTuple):
     index: dict  # (levels, m) -> position
     l: np.ndarray  # leading level of each label
     partner: np.ndarray  # position of (levels, -m)
+    numbers: np.ndarray  # (labels, d - 1) ints: the levels, then m
 
 
 @functools.lru_cache(maxsize=32)
@@ -169,7 +171,8 @@ def _label_space(d, lmax):
     index = {label: j for j, label in enumerate(labels)}
     l = np.array([levels[0] for levels, _ in labels], dtype=int)
     partner = np.array([index[(levels, -m)] for levels, m in labels], dtype=np.intp)
-    return _LabelSpace(d, labels, index, l, partner)
+    numbers = np.array([(*levels, m) for levels, m in labels], dtype=int)
+    return _LabelSpace(d, labels, index, l, partner, numbers.reshape(len(labels), max(d - 1, 0)))
 
 
 def _label_positions(labels):
@@ -257,20 +260,16 @@ class ModeVector:
         data[f, j, 0], data[f, j, 1] = a, b
         return self._new(data, self._entries)
 
-    def _items(self, positions):
-        """((omega, levels, m), (a, b)) at (frequency, label) positions."""
-        f, j = positions.T
-        labels = self._space.labels
-        keys = [(omega, *labels[jj]) for omega, jj in zip(self._omegas[f].tolist(), j.tolist())]
-        return zip(keys, map(tuple, self._data[f, j].tolist()))
-
     @property
     def freq_grid(self):
         return tuple(zip(self._omegas.tolist(), self._weights.tolist()))
 
     @property
     def entries(self):
-        return dict(self._items(self._entries))
+        f, j = self._entries.T
+        labels = self._space.labels
+        keys = [(omega, *labels[jj]) for omega, jj in zip(self._omegas[f].tolist(), j.tolist())]
+        return dict(zip(keys, map(tuple, self._data[f, j].tolist())))
 
     def weight(self, omega):
         return dict(self.freq_grid)[float(omega)]
@@ -297,21 +296,20 @@ class ModeVector:
 
     def to_json(self):
         # grid order, then all_indices order, is sorted key order
-        entries = self._items(self._entries[np.lexsort(self._entries.T[::-1])])
-        payload = {
-            "freq_grid": [{"omega": omega, "weight": w} for omega, w in self.freq_grid],
-            "entries": [
-                {
-                    "omega": omega,
-                    "levels": list(levels),
-                    "m": m,
-                    "a": [a.real, a.imag],
-                    "b": [b.real, b.imag],
-                }
-                for (omega, levels, m), (a, b) in entries
-            ],
-        }
-        return json.dumps(payload, indent=1)
+        f, j = self._entries[np.lexsort(self._entries.T[::-1])].T
+        d = self._space.d
+        grid = encode_array(np.stack([self._omegas, self._weights], axis=1))
+        values = encode_array(self._data[f, j].view(float))
+        cells = np.column_stack([grid[f, 0], encode_array(self._space.numbers)[j], values])
+        grid_fields = [("omega", None), ("weight", None)]
+        entry_fields = [("omega", None), ("levels", d - 2), ("m", None), ("a", 2), ("b", 2)]
+        return (
+            '{\n "freq_grid": '
+            + records(grid_fields, len(grid), grid.ravel().tolist(), depth=2)
+            + ',\n "entries": '
+            + records(entry_fields, len(f), cells.ravel().tolist(), depth=2)
+            + "\n}"
+        )
 
     def __eq__(self, other):
         same = isinstance(other, ModeVector) and self.same_grid(other)
@@ -320,12 +318,13 @@ class ModeVector:
 
 def mode_vector_from_json(text):
     data = json.loads(text)
-    grid = [(row["omega"], row["weight"]) for row in data["freq_grid"]]
-    entries = {
-        (row["omega"], tuple(row["levels"]), row["m"]): (complex(*row["a"]), complex(*row["b"]))
-        for row in data["entries"]
-    }
-    return ModeVector(grid, entries)
+    if type(data) is not dict:
+        raise ValueError("a mode file holds a JSON object")
+    (omegas, weights), _ = read_records(data["freq_grid"], ("omega", "weight"))
+    rows = data["entries"]
+    (omegas_e, ms, levels), ab = read_records(rows, ("omega", "m"), ("levels",), ("a", "b"))
+    keys = zip(omegas_e, map(tuple, levels), ms)
+    return ModeVector(list(zip(omegas, weights)), dict(zip(keys, zip(*ab.T.tolist()))))
 
 
 def omega_rho(p, eta, zeta):

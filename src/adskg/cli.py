@@ -7,14 +7,15 @@ error, 3 numeric pole or overflow.
 """
 
 import argparse
-import json
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 
 from . import ads_complex_structure as acs
 from . import ads_modes, flux, geometry, harmonics, specfun
+from ._jsonio import encode_items, records
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -38,9 +39,17 @@ def write_rows(header, rows, out_format, out_path):
             lines.append(",".join(fmt(v) for v in row))
         text = "\n".join(lines) + "\n"
     else:
-        payload = [dict(zip(header, row)) for row in rows]
+        # json.dumps([dict(zip(header, row)) ...], indent=1, sort_keys=True):
+        # a repeated name keeps its last column
+        column = dict(zip(header, range(len(header))))
+        keys = sorted(column)
+        columns = list(zip(*rows, strict=True)) or [()] * len(header)
+        if len(columns) != len(header):
+            raise ValueError("each row needs one value per header name")
+        cells = list(chain.from_iterable(zip(*(columns[column[key]] for key in keys))))
         # complex values become the same fmt strings as in CSV cells
-        text = json.dumps(payload, indent=1, sort_keys=True, default=fmt) + "\n"
+        fields = [(key, None) for key in keys]
+        text = records(fields, len(rows), encode_items(cells, default=fmt)) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -142,12 +151,22 @@ def _selfcheck_suite(order=24):
         return True
 
     def evanescent_real():
-        return all(
-            specfun.radial_basis(kind, l, x).imag == 0.0
-            for kind in ("j_evan", "n_evan")
-            for l in (0, 2)
-            for x in (0.5, 2.0)
-        )
+        # i_l(x) = i^-l j_l(ix) and i^(l+1) n_l(ix) in closed form
+        closed = {
+            ("j_evan", 0): lambda x, c, s: s / x,
+            ("j_evan", 1): lambda x, c, s: (x * c - s) / x**2,
+            ("j_evan", 2): lambda x, c, s: ((x * x + 3.0) * s - 3.0 * x * c) / x**3,
+            ("n_evan", 0): lambda x, c, s: -c / x,
+            ("n_evan", 1): lambda x, c, s: (x * s - c) / x**2,
+            ("n_evan", 2): lambda x, c, s: (3.0 * x * s - (x * x + 3.0) * c) / x**3,
+        }
+        for (kind, l), form in closed.items():
+            for x in (0.5, 2.0):
+                value = specfun.radial_basis(kind, l, x)
+                exact = form(x, math.cosh(x), math.sinh(x))
+                if value.imag != 0.0 or abs(value.real - exact) > 1e-12 * abs(exact):
+                    return False
+        return True
 
     def orthonormality():
         for d in (3, 4, 5):

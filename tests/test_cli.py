@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from adskg import cli
+from adskg import cli, specfun
 from adskg.ads_modes import random_real_mode_vector
 
 
@@ -34,6 +34,15 @@ class TestSelfcheck:
         out = capsys.readouterr().out
         assert "checks passed" in out
         assert "[fail]" not in out
+
+    def test_evanescent_check_catches_a_sign_error(self, monkeypatch, capsys):
+        # j_evan computed with the oscillating sign is j_l, not i_l: still real
+        series_j = specfun._series_j
+        monkeypatch.setattr(specfun, "_series_j", lambda l, x, sign=-1.0: series_j(l, x))
+        assert cli.main(["selfcheck"]) == cli.EXIT_INVARIANT
+        out = capsys.readouterr().out
+        assert "[fail] evanescent series real" in out
+        assert "12/13 checks passed" in out
 
 
 class TestCandidateSweep:
@@ -145,6 +154,64 @@ class TestJfactorAudit:
             assert {key: cli.fmt(v) for key, v in j_row.items()} == c_row
             assert complex(j_row["jab"]) == complex(c_row["jab"])
             assert isinstance(j_row["positive"], bool)
+
+
+def _malformed(entry, field, case):
+    if case == "missing":
+        del entry[field]
+    else:
+        entry[field] = {"one": [0.5], "three": [0.5, 0.25, 1.0], "string": "0.5+0.25j"}[case]
+
+
+class TestMalformedFiles:
+    """A bad entry in a --modes or --jfactors file is a config error naming it."""
+
+    ARGV = ["jfactor-audit", "--omega", "0.5:1.5:0.5", "--lmax", "1"]
+
+    @pytest.mark.parametrize(
+        "field, case",
+        [
+            ("a", "one"),
+            ("b", "three"),
+            ("a", "string"),
+            ("m", "missing"),
+            ("levels", "string"),
+            ("omega", "one"),
+        ],
+    )
+    def test_modes(self, tmp_path, capsys, field, case):
+        phi = random_real_mode_vector(3, [0.5, 1.5], 1, np.random.default_rng(0))
+        data = json.loads(phi.to_json())
+        _malformed(data["entries"][5], field, case)
+        path = tmp_path / "modes.json"
+        path.write_text(json.dumps(data))
+        out = str(tmp_path / "audit.csv")
+        assert cli.main(self.ARGV + ["--modes", str(path), "--out", out]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "entry 5" in err and repr(field) in err
+
+    @pytest.mark.parametrize(
+        "field, case",
+        [("jab", "one"), ("jbb", "three"), ("jaa", "string"), ("l", "missing"), ("l", "string")],
+    )
+    def test_jfactors(self, tmp_path, capsys, field, case):
+        from adskg.ads_complex_structure import candidate_jfactors
+        from adskg.ads_modes import AdSParams
+
+        grid = [(w, l) for w in (-1.5, -1.0, -0.5, 0.5, 1.0, 1.5) for l in (0, 1)]
+        rows = json.loads(candidate_jfactors(1, AdSParams(3, 4.2), grid).to_json())
+        _malformed(rows[3], field, case)
+        path = tmp_path / "jf.json"
+        path.write_text(json.dumps(rows))
+        out = str(tmp_path / "audit.csv")
+        assert cli.main(self.ARGV + ["--jfactors", str(path), "--out", out]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "entry 3" in err and repr(field) in err
+
+    def test_not_a_list(self, tmp_path):
+        path = tmp_path / "jf.json"
+        path.write_text(json.dumps({"omega": 0.5}))
+        assert cli.main(self.ARGV + ["--jfactors", str(path)]) == cli.EXIT_CONFIG
 
 
 class TestFluxClassify:
