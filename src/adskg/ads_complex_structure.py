@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._jsonio import encode_array, read_records, records
-from .ads_modes import _cmul, _find, _ordered_sum, is_real_solution
-from .specfun import PoleError, log_gamma_signed
+from .ads_modes import _channel_params, _cmul, _find, _ordered_sum, is_real_solution
+from .specfun import PoleError, _libm, _log_gamma_grid, log_gamma_signed
 
 __all__ = [
     "JFactors",
@@ -302,6 +302,19 @@ def _gamma_product(numerator, denominator):
     return sign * math.exp(log_total)
 
 
+def _candidate_sides(which, alpha_a, beta_a, alpha_b, beta_b):
+    """Numerator and denominator Gamma arguments of a candidate, less G(g) G(g-1)."""
+    if which == 1:
+        return (alpha_a, beta_a), (alpha_b, beta_b)
+    if which == 2:
+        return (1.0 - alpha_b, 1.0 - beta_b), (1.0 - alpha_a, 1.0 - beta_a)
+    if which == 3:
+        return (), (alpha_b, beta_b, 1.0 - alpha_a, 1.0 - beta_a)
+    if which == 4:
+        return (alpha_a, beta_a, 1.0 - alpha_b, 1.0 - beta_b), ()
+    raise ValueError("candidate index must be 1..4")
+
+
 def candidate_jab(which, p, omega, l):
     """The four Gamma-ratio solutions of the boost recurrences.
 
@@ -315,27 +328,88 @@ def candidate_jab(which, p, omega, l):
     from .ads_modes import hypergeo_params
 
     hp = hypergeo_params(p, omega, l)
-    g_pair = (hp.gamma, hp.gamma - 1.0)
-    if which == 1:
-        val = _gamma_product((hp.alpha_a, hp.beta_a), (hp.alpha_b, hp.beta_b) + g_pair)
-        return (-1.0) ** l * val
-    if which == 2:
-        val = _gamma_product(
-            (1.0 - hp.alpha_b, 1.0 - hp.beta_b),
-            (1.0 - hp.alpha_a, 1.0 - hp.beta_a) + g_pair,
-        )
-        return (-1.0) ** l * val
-    if which == 3:
-        return _gamma_product(
-            (),
-            (hp.alpha_b, hp.beta_b, 1.0 - hp.alpha_a, 1.0 - hp.beta_a) + g_pair,
-        )
-    if which == 4:
-        return _gamma_product(
-            (hp.alpha_a, hp.beta_a, 1.0 - hp.alpha_b, 1.0 - hp.beta_b),
-            g_pair,
-        )
-    raise ValueError("candidate index must be 1..4")
+    numerator, denominator = _candidate_sides(which, hp.alpha_a, hp.beta_a, hp.alpha_b, hp.beta_b)
+    val = _gamma_product(numerator, denominator + (hp.gamma, hp.gamma - 1.0))
+    return (-1.0) ** l * val if which in (1, 2) else val
+
+
+@np.errstate(all="ignore")
+def _candidate_jab_grid(which, p, omega, l):
+    """candidate_jab over arrays omega and l (ints): (values, faults).
+
+    Each side's arguments are sorted per point and summed in that order,
+    as _gamma_product does, so every value is bit for bit the scalar's.
+    faults maps the index of a point where candidate_jab raises to the
+    exception it raises first: a negative l, then per argument in sorted
+    numerator and then sorted denominator order a non-finite value or a
+    pole, then an overflowing exp.
+    """
+    l = np.asarray(l)
+    aa, ba, ab, bb, gamma = _channel_params(p, np.asarray(omega, dtype=float), l)
+    numerator, denominator = _candidate_sides(which, aa, ba, ab, bb)
+    sides = [
+        np.sort(np.array(side, dtype=float).reshape(len(side), l.size), axis=0, kind="stable")
+        for side in (numerator, denominator + (gamma, gamma - 1.0))
+    ]
+    args = np.concatenate(sides)
+    finite = np.isfinite(args)
+    log_abs, sign, pole = _log_gamma_grid(np.where(finite, args, 1.0))
+    # a running total in argument order, as the scalar adds and subtracts;
+    # 0.0 + turns a -0.0 into the 0.0 the scalar's total starts from
+    log_abs[len(numerator) :] *= -1.0
+    log_total = 0.0 + np.cumsum(log_abs, axis=0)[-1]
+    faults = {}
+    bad = ~finite | pole
+    failed = bad.any(axis=0)
+    for i in np.flatnonzero(failed | (l < 0)).tolist():
+        if l.item(i) < 0:
+            faults[i] = ValueError("hypergeo_params requires l >= 0")
+            continue
+        x = args[np.argmax(bad[:, i]), i].item()
+        if math.isfinite(x):
+            faults[i] = PoleError(f"Gamma pole at argument {x}")
+        else:
+            faults[i] = ValueError("log_gamma_signed requires finite x")
+    magnitude = _libm(_exp_or_inf, np.where(failed, 0.0, log_total))
+    for i in np.flatnonzero(np.isinf(magnitude) & np.isfinite(log_total)).tolist():
+        faults.setdefault(i, OverflowError("math range error"))
+    values = np.prod(sign, axis=0) * magnitude
+    if which in (1, 2):
+        values = np.where(l % 2, -1.0, 1.0) * values
+    return values, faults
+
+
+def _exp_or_inf(x):
+    """math.exp, with inf where it raises OverflowError."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+@np.errstate(all="ignore")
+def _candidate_boost_grid(which, p, omega, l):
+    """candidate_jab and its two boost residuals over arrays omega and l (ints).
+
+    Bit for bit candidate_jab and boost_recurrence_residual point by
+    point.  Raises what they raise first when the points are taken in
+    order, each point's own value before its (omega - 1, l + 1) and then
+    its (omega + 1, l + 1) neighbour.
+    """
+    omega = np.asarray(omega, dtype=float)
+    l = np.asarray(l)
+    grids = [
+        _candidate_jab_grid(which, p, omega, l),
+        _candidate_jab_grid(which, p, omega - 1.0, l + 1),
+        _candidate_jab_grid(which, p, omega + 1.0, l + 1),
+    ]
+    faults = [(i, slot, exc) for slot, (_, found) in enumerate(grids) for i, exc in found.items()]
+    if faults:
+        raise min(faults, key=lambda fault: fault[:2])[2]
+    (base, _), (minus, _), (plus, _) = grids
+    res_minus = np.abs(minus + base * _boost_factor_minus(p, omega, l))
+    res_plus = np.abs(plus + base * _boost_factor_plus(p, omega, l))
+    return base, res_minus, res_plus
 
 
 def complete_nondiagonal(jab, jaa=0.0):
@@ -370,10 +444,18 @@ def diagonal_jfactors(grid):
 
 
 def candidate_jfactors(which, p, grid, jaa=0.0):
-    """JFactors built by completing a candidate jab over a grid."""
-    return JFactors(
-        {key: complete_nondiagonal(candidate_jab(which, p, *key), jaa) for key in grid}
-    )
+    """JFactors built by completing a candidate jab over a grid of (omega, l) keys."""
+    keys = list(grid)
+    if not keys:
+        return JFactors({})
+    omegas, ls = zip(*keys)
+    values, faults = _candidate_jab_grid(which, p, omegas, np.array(ls, dtype=int))
+    table = {}
+    for i, (key, jab) in enumerate(zip(keys, values.tolist())):
+        if i in faults:
+            raise faults[i]
+        table[key] = complete_nondiagonal(jab, jaa)
+    return JFactors(table)
 
 
 def diagonal_boost_mismatch(omega):

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._jsonio import encode_array, read_records, records
 from .harmonics import MultiIndex, all_indices
-from .specfun import PoleError, POLE_TOL, hyp2f1, hyp2f1_dz
+from .specfun import PoleError, _hyp2f1_grid, _near_pole, _near_pole_grid, hyp2f1, hyp2f1_dz
 
 __all__ = [
     "AdSParams",
@@ -83,13 +83,18 @@ def hypergeo_params(p, omega, l):
     """
     if l < 0:
         raise ValueError("hypergeo_params requires l >= 0")
+    return HypergeoParams(*_channel_params(p, omega, l))
+
+
+def _channel_params(p, omega, l):
+    """(alpha_a, beta_a, alpha_b, beta_b, gamma): floats, or arrays for arrays omega and l."""
     dd = p.Delta
-    return HypergeoParams(
-        alpha_a=0.5 * (dd - omega + l),
-        beta_a=0.5 * (dd + omega + l),
-        alpha_b=0.5 * (dd - omega - l - p.d + 2.0),
-        beta_b=0.5 * (dd + omega - l - p.d + 2.0),
-        gamma=l + p.d / 2.0,
+    return (
+        0.5 * (dd - omega + l),
+        0.5 * (dd + omega + l),
+        0.5 * (dd - omega - l - p.d + 2.0),
+        0.5 * (dd + omega - l - p.d + 2.0),
+        l + p.d / 2.0,
     )
 
 
@@ -100,19 +105,44 @@ def _check_rho(rho):
     return z
 
 
+def _channel_b_pole(p, c):
+    return PoleError(
+        f"channel b series parameter 2 - gamma = {c} is a nonpositive integer (even d = {p.d})"
+    )
+
+
 def _channel_pieces(p, omega, l, channel):
     hp = hypergeo_params(p, omega, l)
     if channel == "a":
         return l, hp.alpha_a, hp.beta_a, hp.gamma
     if channel == "b":
         c = 2.0 - hp.gamma
-        if c <= 0.5 and abs(c - round(c)) <= POLE_TOL and round(c) <= 0:
-            raise PoleError(
-                f"channel b series parameter 2 - gamma = {c} is a nonpositive integer "
-                f"(even d = {p.d})"
-            )
+        if _near_pole(c):
+            raise _channel_b_pole(p, c)
         return 2.0 - p.d - l, hp.alpha_b, hp.beta_b, c
     raise ValueError(f"unknown channel {channel!r}")
+
+
+def _rho_factors(p, exp_sin, rho):
+    """(s, c, s^e c^Delta, e s^(e-1) c^(Delta+1), Delta s^(e+1) c^(Delta-1)) at rho.
+
+    s = sin rho, c = cos rho and e = exp_sin; the last three multiply F in
+    the profile and its rho-derivative.
+    """
+    s, c = math.sin(rho), math.cos(rho)
+    return (
+        s,
+        c,
+        s**exp_sin * c**p.Delta,
+        exp_sin * s ** (exp_sin - 1.0) * c ** (p.Delta + 1.0),
+        p.Delta * s ** (exp_sin + 1.0) * c ** (p.Delta - 1.0),
+    )
+
+
+def _profile_deriv(factors, f, df):
+    """d/drho of s^e c^Delta F(sin^2 rho) from F and dF/dz (floats or arrays)."""
+    s, c, value, up, down = factors
+    return up * f - down * f + value * df * 2.0 * s * c
 
 
 def radial_eval(p, omega, l, channel, rho):
@@ -123,23 +153,54 @@ def radial_eval(p, omega, l, channel, rho):
     """
     z = _check_rho(rho)
     exp_sin, aa, bb, cc = _channel_pieces(p, omega, l, channel)
-    s, c = math.sin(rho), math.cos(rho)
-    return s**exp_sin * c**p.Delta * hyp2f1(aa, bb, cc, z)
+    return _rho_factors(p, exp_sin, rho)[2] * hyp2f1(aa, bb, cc, z)
 
 
 def radial_eval_deriv(p, omega, l, channel, rho):
     """d/drho of radial_eval, term-wise analytic differentiation."""
     z = _check_rho(rho)
     exp_sin, aa, bb, cc = _channel_pieces(p, omega, l, channel)
-    s, c = math.sin(rho), math.cos(rho)
     f = hyp2f1(aa, bb, cc, z)
     df = hyp2f1_dz(aa, bb, cc, z)
-    value = s**exp_sin * c**p.Delta
-    return (
-        exp_sin * s ** (exp_sin - 1.0) * c ** (p.Delta + 1.0) * f
-        - p.Delta * s ** (exp_sin + 1.0) * c ** (p.Delta - 1.0) * f
-        + value * df * 2.0 * s * c
+    return _profile_deriv(_rho_factors(p, exp_sin, rho), f, df)
+
+
+@np.errstate(all="ignore")
+def _channel_grid(p, omega, l, rho):
+    """(S_a, dS_a, S_b, dS_b) at one rho over arrays omega and l (ints), and the faults.
+
+    Bit for bit radial_eval and radial_eval_deriv of each point, with F and
+    dF/dz of each channel summed once per point.  faults maps the index of
+    a point where those raise to [(stage, channel, exception)], the first
+    failure of each failing channel (0 a, 1 b): stage 0 for its value
+    series or channel b's pole, 1 for its derivative series.
+    """
+    z = _check_rho(rho)
+    l = np.asarray(l)
+    aa, ba, ab, bb, gamma = _channel_params(p, np.asarray(omega, dtype=float), l)
+    cb = 2.0 - gamma
+    pole_b = _near_pole_grid(cb)
+    faults = {i: [(0, 1, _channel_b_pole(p, cb.item(i)))] for i in np.flatnonzero(pole_b).tolist()}
+    channels = (
+        (np.arange(l.size), (aa, ba, gamma), lambda ll: ll),
+        (np.flatnonzero(~pole_b), (ab, bb, cb), lambda ll: 2.0 - p.d - ll),
     )
+    out = []
+    for channel, (points, params, exp_sin) in enumerate(channels):
+        a, b, c = (x[points] for x in params)
+        f, f_faults = _hyp2f1_grid(a, b, c, z)
+        f1, f1_faults = _hyp2f1_grid(a + 1.0, b + 1.0, c + 1.0, z)
+        # where both series fail, the value series fails first
+        for i, exc in (f1_faults | f_faults).items():
+            faults.setdefault(points.item(i), []).append((int(i not in f_faults), channel, exc))
+        # the powers of sin and cos per l, taken as the scalar takes them
+        per_l = [_rho_factors(p, exp_sin(ll), rho) for ll in range(int(l.max(initial=0)) + 1)]
+        factors = np.array(per_l)[l[points]].T
+        for part in (factors[2] * f, _profile_deriv(factors, f, a * b / c * f1)):
+            full = np.full(l.shape, np.nan)
+            full[points] = part
+            out.append(full)
+    return tuple(out), faults
 
 
 def radial_wronskian(p, omega, l, rho):

@@ -399,24 +399,30 @@ def cmd_jfactor_audit(args):
 # ------------------------------------------------------------ candidate-sweep
 
 
+def _sweep_points(omegas, lmax):
+    """(omega, l) arrays of the rows of a sweep: omega-major, l = 0..lmax."""
+    ls = np.arange(lmax + 1)
+    return np.repeat(np.array(omegas, dtype=float), len(ls)), np.tile(ls, len(omegas))
+
+
 def cmd_candidate_sweep(args):
     p = ads_modes.AdSParams(args.d, args.delta, args.radius)
-    omegas = parse_omega_range(args.omega)
+    omegas, ls = _sweep_points(parse_omega_range(args.omega), args.lmax)
     which_list = args.candidates or [1, 2, 3, 4]
     header = ["candidate", "omega", "l", "jab", "sign_jab", "res_minus", "res_plus"]
     rows = []
     worst = 0.0
     for which in which_list:
-        jab = lambda w, ll: acs.candidate_jab(which, p, w, ll)
-        for w in omegas:
-            for l in range(args.lmax + 1):
-                val = jab(w, l)
-                rm, rp = acs.boost_recurrence_residual(p, jab, w, l)
-                scale = max(abs(val), 1e-300)
-                worst = max(worst, rm / scale, rp / scale)
-                rows.append(
-                    [which, w, l, float(val), int(math.copysign(1.0, val)), rm / scale, rp / scale]
-                )
+        val, rm, rp = acs._candidate_boost_grid(which, p, omegas, ls)
+        with np.errstate(all="ignore"):
+            scale = np.maximum(np.abs(val), 1e-300)
+            rm, rp = rm / scale, rp / scale
+        ratios = np.concatenate([rm, rp])
+        # max() over the rows: a nan ratio never wins
+        worst = float(np.max(ratios, initial=worst, where=~np.isnan(ratios)))
+        sign = np.copysign(1.0, val).astype(int)
+        columns = (omegas, ls, val, sign, rm, rp)
+        rows += [[which, *cells] for cells in zip(*(c.tolist() for c in columns))]
     write_rows(header, rows, args.format, args.out)
     print(f"worst relative boost residual: {worst:.3e}", file=sys.stderr)
     return EXIT_OK if worst <= args.tolerance else EXIT_INVARIANT
@@ -431,24 +437,34 @@ def cmd_flux_classify(args):
     header = ["spacetime", "kind", "omega", "l", "flux_per_time", "verdict"]
     rows = []
     mass = math.sqrt(abs(p.Delta * (p.Delta - p.d))) / p.R
-    for w in omegas:
-        for l in range(args.lmax + 1):
-            if w * w > mass * mass:
-                p_r = math.sqrt(w * w - mass * mass)
-                r = 6.0
-                for kind in ("h1", "j", "n"):
-                    f = specfun.radial_basis(kind, l, p_r * r)
-                    df = p_r * specfun.radial_basis_deriv(kind, l, p_r * r)
-                    v = flux.mode_flux("minkowski", {"d": args.d}, w, l, (f, df), rho=r)
-                    rows.append(["minkowski", kind, w, l, v.flux_per_time, v.verdict])
-                fa, dfa, _ = flux.ads_combined_mode(p, w, l, 0.7)
-                v = flux.mode_flux("ads", p, w, l, (fa, dfa), rho=0.7)
-                rows.append(["ads", "combined", w, l, v.flux_per_time, v.verdict])
-            for channel in ("a", "b"):
-                fr = ads_modes.radial_eval(p, w, l, channel, 0.7)
-                dfr = ads_modes.radial_eval_deriv(p, w, l, channel, 0.7)
-                v = flux.mode_flux("ads", p, w, l, (fr, dfr), rho=0.7)
-                rows.append(["ads", f"channel_{channel}", w, l, v.flux_per_time, v.verdict])
+    points = _sweep_points(omegas, args.lmax)
+    channels, faults = ads_modes._channel_grid(p, *points, 0.7)
+    values = list(zip(*(c.tolist() for c in channels)))
+    for i, (w, l) in enumerate(zip(*(c.tolist() for c in points))):
+
+        def checked(*wanted):
+            """Point i's (S_a, dS_a, S_b, dS_b), raising the failure of the wanted channels
+            that the scalar radial_eval calls meet first: value series before derivatives."""
+            found = [fault for fault in faults.get(i, ()) if fault[1] in wanted]
+            if found:
+                raise min(found)[2]
+            return values[i]
+
+        if w * w > mass * mass:
+            p_r = math.sqrt(w * w - mass * mass)
+            r = 6.0
+            for kind in ("h1", "j", "n"):
+                f = specfun.radial_basis(kind, l, p_r * r)
+                df = p_r * specfun.radial_basis_deriv(kind, l, p_r * r)
+                v = flux.mode_flux("minkowski", {"d": args.d}, w, l, (f, df), rho=r)
+                rows.append(["minkowski", kind, w, l, v.flux_per_time, v.verdict])
+            fa, dfa, _ = flux._combined_mode(p, w, l, lambda: checked(0, 1))
+            v = flux.mode_flux("ads", p, w, l, (fa, dfa), rho=0.7)
+            rows.append(["ads", "combined", w, l, v.flux_per_time, v.verdict])
+        for channel, name in enumerate(("a", "b")):
+            fr, dfr = checked(channel)[2 * channel : 2 * channel + 2]
+            v = flux.mode_flux("ads", p, w, l, (fr, dfr), rho=0.7)
+            rows.append(["ads", f"channel_{name}", w, l, v.flux_per_time, v.verdict])
     write_rows(header, rows, args.format, args.out)
     return EXIT_OK
 

@@ -143,18 +143,26 @@ def ads_combined_mode(p, omega, l, rho):
     spherical-Neumann sign (negative leading coefficient), matching its
     flat limit.  Returns (f, df, p_r); its flux is 4 omega R^(d-1)/p_r.
     """
+
+    def channels():
+        sa, sb = (radial_eval(p, omega, l, channel, rho) for channel in "ab")
+        dsa, dsb = (radial_eval_deriv(p, omega, l, channel, rho) for channel in "ab")
+        return sa, dsa, sb, dsb
+
+    return _combined_mode(p, omega, l, channels)
+
+
+def _combined_mode(p, omega, l, channels):
+    """ads_combined_mode with (S_a, dS_a, S_b, dS_b) from channels(), called once p_r is known."""
     m_sq = p.Delta * (p.Delta - p.d) / (p.R * p.R)
     p_r = math.sqrt(abs(omega * omega - m_sq))
     if p_r == 0.0:
         raise ValueError("combined mode needs omega^2 distinct from the mass squared")
     f_a = p_r**l / double_factorial(2 * l + p.d - 2)
     f_b = double_factorial(2 * l + p.d - 4) / p_r ** (l + 1)
-    sa = radial_eval(p, omega, l, "a", rho)
-    sb = -radial_eval(p, omega, l, "b", rho)
-    dsa = radial_eval_deriv(p, omega, l, "a", rho)
-    dsb = -radial_eval_deriv(p, omega, l, "b", rho)
-    f = f_a * sa + 1j * f_b * sb
-    df = f_a * dsa + 1j * f_b * dsb
+    sa, dsa, sb, dsb = channels()
+    f = f_a * sa + 1j * f_b * -sb
+    df = f_a * dsa + 1j * f_b * -dsb
     return f, df, p_r
 
 

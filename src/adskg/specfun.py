@@ -10,6 +10,7 @@ Abramowitz & Stegun chapters 8 and 22.
 
 import math
 import cmath
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,29 @@ __all__ = [
 ]
 
 POLE_TOL = 1e-9
+
+
+def _near_pole(x):
+    """Whether x sits on (or within POLE_TOL of) a nonpositive integer."""
+    return x <= 0.5 and abs(x - round(x)) <= POLE_TOL and round(x) <= 0
+
+
+def _near_pole_grid(x):
+    """_near_pole over a float array (numpy's rint rounds half to even, as round does)."""
+    nearest = np.rint(x)
+    return (x <= 0.5) & (np.abs(x - nearest) <= POLE_TOL) & (nearest <= 0)
+
+
+def _libm(fn, x):
+    """fn of the math module applied per element of a float array.
+
+    numpy's vectorised log, exp and sin may differ from libm in the last
+    bits; the array forms below use libm so that they match the scalars.
+    """
+    return np.fromiter(map(fn, x.ravel().tolist()), dtype=float, count=x.size).reshape(x.shape)
+
+
+_log = functools.partial(_libm, math.log)
 
 
 class PoleError(ArithmeticError):
@@ -79,14 +103,17 @@ class SignedLogGamma:
         return self.sign * math.exp(self.log_abs)
 
 
-def _lanczos_log_gamma(x):
-    """log Gamma(x) for x >= 0.5, Lanczos rational approximation."""
+def _lanczos_log_gamma(x, log=math.log):
+    """log Gamma(x) for x >= 0.5, Lanczos rational approximation.
+
+    Plain arithmetic, so x may be a float array when log is one too.
+    """
     z = x - 1.0
     acc = _LANCZOS_C[0]
     for i in range(1, len(_LANCZOS_C)):
         acc += _LANCZOS_C[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return _LOG_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
+    return _LOG_SQRT_2PI + (z + 0.5) * log(t) - t + log(acc)
 
 
 def log_gamma_signed(x):
@@ -98,7 +125,7 @@ def log_gamma_signed(x):
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("log_gamma_signed requires finite x")
-    if x <= 0.5 and abs(x - round(x)) <= POLE_TOL and round(x) <= 0:
+    if _near_pole(x):
         return SignedLogGamma(log_abs=math.nan, sign=0, is_pole=True)
     if x >= 0.5:
         return SignedLogGamma(log_abs=_lanczos_log_gamma(x), sign=1, is_pole=False)
@@ -106,6 +133,25 @@ def log_gamma_signed(x):
     s = math.sin(math.pi * x)
     log_abs = math.log(math.pi) - math.log(abs(s)) - _lanczos_log_gamma(1.0 - x)
     return SignedLogGamma(log_abs=log_abs, sign=1 if s > 0 else -1, is_pole=False)
+
+
+@np.errstate(all="ignore")
+def _log_gamma_grid(x):
+    """log_gamma_signed over a finite float array: (log_abs, sign, pole) arrays.
+
+    Bit for bit the scalar's values; log_abs is nan and sign 0 at poles.
+    """
+    pole = _near_pole_grid(x)
+    reflect = (x < 0.5) & ~pole
+    log_abs = _lanczos_log_gamma(np.where(reflect, 1.0 - x, np.where(pole, 1.0, x)), log=_log)
+    # Gamma(x) = pi / (sin(pi x) Gamma(1 - x))
+    s = _libm(math.sin, math.pi * x[reflect])
+    log_abs[reflect] = math.log(math.pi) - _log(np.abs(s)) - log_abs[reflect]
+    log_abs[pole] = math.nan
+    sign = np.ones(x.shape, dtype=int)
+    sign[reflect] = np.where(s > 0, 1, -1)
+    sign[pole] = 0
+    return log_abs, sign, pole
 
 
 def gamma_value(x):
@@ -199,7 +245,7 @@ def hyp2f1(a, b, c, z):
     """
     if not 0.0 <= z <= _HYP_Z_MAX:
         raise ValueError(f"hyp2f1 series restricted to z in [0, {_HYP_Z_MAX}]")
-    if c <= 0.5 and abs(c - round(c)) <= POLE_TOL and round(c) <= 0:
+    if _near_pole(c):
         raise PoleError(f"hyp2f1 parameter c = {c} is at a series pole")
     total = 1.0
     term = 1.0
@@ -219,6 +265,60 @@ def hyp2f1(a, b, c, z):
                 )
         prev = abs(term)
     raise ConvergenceError(f"hyp2f1({a},{b};{c};{z}) hit the {_HYP_MAX_TERMS}-term cap")
+
+
+@np.errstate(all="ignore")
+def _hyp2f1_grid(a, b, c, z):
+    """hyp2f1 over float arrays a, b, c of one shape at one z: (values, faults).
+
+    Every element runs the scalar's loop, term for term, and leaves the
+    active set when it stops, so each value is bit for bit the scalar's.
+    faults maps the flat index of an element the scalar raises for to
+    that exception; its value is nan.
+    """
+    if not 0.0 <= z <= _HYP_Z_MAX:
+        raise ValueError(f"hyp2f1 series restricted to z in [0, {_HYP_Z_MAX}]")
+    a, b, c = (np.ravel(v) for v in (a, b, c))
+    out = np.full(a.shape, math.nan)
+    pole = _near_pole_grid(c)
+    faults = {
+        i: PoleError(f"hyp2f1 parameter c = {c.item(i)} is at a series pole")
+        for i in np.flatnonzero(pole).tolist()
+    }
+    active = np.flatnonzero(~pole)
+    aa, bb, cc = a[active], b[active], c[active]
+    total = np.ones(active.size)
+    term = np.ones(active.size)
+    prev = np.full(active.size, math.inf)
+    for k in range(_HYP_MAX_TERMS):
+        if not active.size:
+            break
+        term = term * ((aa + k) * (bb + k) / ((cc + k) * (k + 1.0)) * z)
+        zero = term == 0.0
+        total = np.where(zero, total, total + term)
+        size = np.abs(term)
+        scale = np.fmax(1.0, np.abs(total))  # max(1.0, nan) is 1.0, as in the scalar
+        stop = done = zero | (size <= _HYP_TAIL * scale)
+        if k > 30 and z > 0.0:
+            # terms should decrease once k exceeds the parameter scale
+            growing = ~done & (size > prev) & (size > 1e6 * scale)
+            for i in np.flatnonzero(growing).tolist():
+                faults[active.item(i)] = ConvergenceError(
+                    f"hyp2f1({aa.item(i)},{bb.item(i)};{cc.item(i)};{z}) "
+                    f"terms not decreasing after {k} steps"
+                )
+            stop = done | growing
+        prev = size
+        if stop.any():
+            out[active[done]] = total[done]
+            keep = ~stop
+            active, aa, bb, cc = active[keep], aa[keep], bb[keep], cc[keep]
+            total, term, prev = total[keep], term[keep], prev[keep]
+    for i, index in enumerate(active.tolist()):
+        faults[index] = ConvergenceError(
+            f"hyp2f1({aa.item(i)},{bb.item(i)};{cc.item(i)};{z}) hit the {_HYP_MAX_TERMS}-term cap"
+        )
+    return out, faults
 
 
 def hyp2f1_dz(a, b, c, z):
@@ -267,19 +367,27 @@ def _series_n(l, x, sign=-1.0):
     return pref * total
 
 
+@functools.lru_cache(maxsize=256)
+def _hankel_coeffs(l):
+    """(a_0(l + 1/2), ..., a_l(l + 1/2)), the values a_coeff gives."""
+    return tuple(a_coeff(k, l) for k in range(l + 1))
+
+
 def s_odd(l, x):
     """S^o_l(x): odd-index a_k sum of the trig decomposition (DLMF 10.49.2)."""
+    coeffs = _hankel_coeffs(l)
     total = 0.0
     for k in range(l // 2 + 1):
-        total += (-1.0) ** k * a_coeff(2 * k, l) / x ** (2 * k + 1)
+        total += (-1.0) ** k * coeffs[2 * k] / x ** (2 * k + 1)
     return total
 
 
 def s_even(l, x):
     """S^e_l(x): even companion sum; empty (zero) for l = 0."""
+    coeffs = _hankel_coeffs(l)
     total = 0.0
     for k in range((l - 1) // 2 + 1):
-        total += (-1.0) ** k * a_coeff(2 * k + 1, l) / x ** (2 * k + 2)
+        total += (-1.0) ** k * coeffs[2 * k + 1] / x ** (2 * k + 2)
     return total
 
 

@@ -1,0 +1,276 @@
+"""Grid evaluation against the scalar code it replaces in the sweeps.
+
+candidate-sweep, flux-classify and candidate_jfactors evaluate whole
+(omega, l) grids in array form.  The scalar functions stay as the
+reference: every value must match them bit for bit (compared through
+repr, which tells -0.0 and every float apart), and every failure must be
+the one the scalar scan meets first, with the same message.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from adskg import ads_complex_structure as acs
+from adskg import ads_modes, cli, flux, specfun
+from adskg.specfun import ConvergenceError, PoleError
+
+
+def scalar_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except (PoleError, ConvergenceError, OverflowError, ValueError) as exc:
+        return exc
+
+
+def assert_same(value, ref):
+    """A grid value (or fault) equals the scalar's value (or raised exception)."""
+    if isinstance(ref, Exception):
+        assert type(value) is type(ref) and str(value) == str(ref)
+    else:
+        assert repr(value) == repr(ref)
+
+
+def run_cli(argv, monkeypatch, capsys):
+    """Exit code, captured (header, rows) and stderr of one CLI run."""
+    written = []
+    monkeypatch.setattr(cli, "write_rows", lambda header, rows, *_: written.append((header, rows)))
+    rc = cli.main(argv)
+    return rc, written[0][1] if written else None, capsys.readouterr().err
+
+
+class TestLogGammaGrid:
+    def draws(self):
+        rng = np.random.default_rng(5)
+        poles = -np.arange(0.0, 60.0)
+        offsets = np.array([0.0, 1e-12, -1e-12, 1e-10, -1e-10, 0.99e-9, -0.99e-9, 1.01e-9, -1.01e-9, 1e-6])
+        return np.concatenate(
+            [
+                rng.uniform(0.5, 171.0, 300),
+                rng.uniform(-60.0, 0.5, 300),  # the reflection branch
+                (poles[:, None] + offsets).ravel(),  # exact and near poles
+                [0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 1.0, 2.0, 1e-300, -1e-300, 1e-8],
+            ]
+        )
+
+    def test_bit_equal_to_scalar(self):
+        x = self.draws()
+        log_abs, sign, pole = specfun._log_gamma_grid(x.reshape(2, -1))
+        for xi, la, s, is_pole in zip(x.tolist(), log_abs.ravel().tolist(), sign.ravel().tolist(), pole.ravel().tolist()):
+            ref = specfun.log_gamma_signed(xi)
+            assert is_pole == ref.is_pole
+            if not is_pole:
+                assert (repr(la), s) == (repr(ref.log_abs), ref.sign)
+        assert pole.sum() > 60 and (sign == -1).any()
+
+
+# (a, b, c, z) where the terms grow past 1e6 times the partial sum after 35 steps
+NOT_DECREASING = (-35.3663856686626, 60.5, -34.75, 0.5)
+
+
+class TestHyp2F1Grid:
+    def test_bit_equal_to_scalar(self):
+        rng = np.random.default_rng(9)
+        n = 400
+        a = rng.uniform(-30.0, 30.0, n)
+        b = rng.uniform(-30.0, 30.0, n)
+        c = np.where(rng.random(n) < 0.8, rng.uniform(0.2, 30.0, n), rng.uniform(-30.0, 0.5, n))
+        a[:40] = -rng.integers(0, 12, 40)  # terminating series
+        c[40:60] = -rng.integers(0, 20, 20) + rng.choice([0.0, 1e-10, -1e-10], 20)  # poles
+        a[60], b[60], c[60] = NOT_DECREASING[:3]
+        for z in (0.0, 0.1, 0.41501642854987947, 0.5, 0.95):
+            values, faults = specfun._hyp2f1_grid(a, b, c, z)
+            for i in range(n):
+                ref = scalar_or_error(specfun.hyp2f1, a[i].item(), b[i].item(), c[i].item(), z)
+                got = faults[i] if i in faults else values[i].item()
+                assert_same(got, ref)
+                if i in faults:
+                    assert math.isnan(values[i])
+        assert "terms not decreasing after 35 steps" in str(
+            specfun._hyp2f1_grid(a, b, c, 0.5)[1][60]
+        )
+
+    def test_term_cap(self):
+        # nan terms neither stop the series nor trip the not-decreasing check
+        args = (math.nan, 1.0, 1.0, 0.9)
+        ref = scalar_or_error(specfun.hyp2f1, *args)
+        values, faults = specfun._hyp2f1_grid(*(np.array([v, 0.5]) for v in args[:3]), args[3])
+        assert "10000-term cap" in str(ref)
+        assert_same(faults[0], ref)
+        assert_same(values[1].item(), specfun.hyp2f1(0.5, 0.5, 0.5, 0.9))
+
+    def test_domain(self):
+        with pytest.raises(ValueError, match="restricted to z"):
+            specfun._hyp2f1_grid(np.ones(2), np.ones(2), np.ones(2), 0.96)
+
+
+def hankel_sum(l, x, start):
+    total = 0.0
+    for k in range((l - start) // 2 + 1):
+        total += (-1.0) ** k * specfun.a_coeff(2 * k + start, l) / x ** (2 * k + start + 1)
+    return total
+
+
+def test_hankel_sums_bit_equal_to_a_coeff_sums():
+    for l in range(25):
+        for x in (0.7, 3.0, 41.5):
+            assert repr(specfun.s_odd(l, x)) == repr(hankel_sum(l, x, 0))
+            assert repr(specfun.s_even(l, x)) == repr(hankel_sum(l, x, 1))
+
+
+def reference_sweep(p, omegas, lmax, which_list):
+    """candidate-sweep's rows and worst residual, by the scalar loop."""
+    rows, worst = [], 0.0
+    for which in which_list:
+        jab = lambda w, ll: acs.candidate_jab(which, p, w, ll)
+        for w in omegas:
+            for l in range(lmax + 1):
+                val = jab(w, l)
+                rm, rp = acs.boost_recurrence_residual(p, jab, w, l)
+                scale = max(abs(val), 1e-300)
+                worst = max(worst, rm / scale, rp / scale)
+                rows.append([which, w, l, float(val), int(math.copysign(1.0, val)), rm / scale, rp / scale])
+    return rows, worst
+
+
+def as_text(rows):
+    return [[repr(v) for v in row] for row in rows]
+
+
+class TestCandidateSweep:
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    @pytest.mark.parametrize("step", ["0.1", "0.25", "0.3", "0.07"])
+    def test_rows_equal_scalar_loop(self, d, step, monkeypatch, capsys):
+        delta = d / 2.0 + 0.37 + 0.11 * (d % 3)
+        omega = f"-2.1:3:{step}"
+        p = ads_modes.AdSParams(d, delta)
+        omegas = cli.parse_omega_range(omega)
+        for which in (1, 2, 3, 4):
+            argv = ["candidate-sweep", "--d", str(d), "--delta", repr(delta), "--lmax", "4"]
+            rc, rows, err = run_cli(argv + [f"--omega={omega}", "--candidates", str(which)], monkeypatch, capsys)
+            try:
+                ref_rows, worst = reference_sweep(p, omegas, 4, [which])
+            except (PoleError, OverflowError) as exc:
+                assert (rc, rows, err) == (cli.EXIT_NUMERIC, None, f"numeric error: {exc}\n")
+                continue
+            assert as_text(rows) == as_text(ref_rows)
+            assert err == f"worst relative boost residual: {worst:.3e}\n"
+
+    def test_all_candidates_in_one_run(self, monkeypatch, capsys):
+        p = ads_modes.AdSParams(5, 3.7)
+        rc, rows, _ = run_cli(["candidate-sweep", "--d", "5", "--delta", "3.7", "--omega", "0.05:4:0.1"], monkeypatch, capsys)
+        assert rc == cli.EXIT_OK
+        assert as_text(rows) == as_text(reference_sweep(p, cli.parse_omega_range("0.05:4:0.1"), 3, [1, 2, 3, 4])[0])
+
+    # integer Delta puts Gamma poles at several rows and neighbours; with
+    # candidate 3 the first is row 0's (omega - 1, l + 1) neighbour, ahead
+    # of row 1's own value
+    @pytest.mark.parametrize("delta, which, omega", [(4.0, 2, "-3:3:0.5"), (3.0, 3, "0:4:0.5")])
+    def test_pole_is_the_scalar_scans_first(self, delta, which, omega, monkeypatch, capsys):
+        p = ads_modes.AdSParams(3, delta)
+        with pytest.raises(PoleError) as exc:
+            reference_sweep(p, cli.parse_omega_range(omega), 3, [which])
+        argv = ["candidate-sweep", "--delta", repr(delta), f"--omega={omega}", "--lmax", "3"]
+        rc, rows, err = run_cli(argv + ["--candidates", str(which)], monkeypatch, capsys)
+        assert (rc, rows) == (cli.EXIT_NUMERIC, None)
+        assert err == f"numeric error: {exc.value}\n"
+        assert err.startswith("numeric error: Gamma pole at argument ")
+
+
+def test_candidate_jfactors_table_bit_equal():
+    for d, delta, which in ((3, 4.37, 1), (4, 2.93, 2), (5, 3.37, 3), (6, 4.61, 4)):
+        p = ads_modes.AdSParams(d, delta)
+        grid = [(s * w, l) for w in np.arange(0.5, 6.0, 0.3).tolist() for s in (1.0, -1.0) for l in range(7)]
+        ref = {key: acs.complete_nondiagonal(acs.candidate_jab(which, p, *key)) for key in grid}
+        table = acs.candidate_jfactors(which, p, grid).table
+        assert table.keys() == ref.keys()
+        assert all(repr(table[key]) == repr(ref[key]) for key in ref)
+
+
+def test_candidate_jfactors_pole_is_the_first_key():
+    p = ads_modes.AdSParams(3, 4.0)
+    grid = [(w, l) for w in (2.5, -1.5, 1.0, 0.0) for l in range(3)]
+    first = next(e for key in grid if isinstance(e := scalar_or_error(acs.candidate_jab, 1, p, *key), Exception))
+    with pytest.raises(PoleError) as exc:
+        acs.candidate_jfactors(1, p, grid)
+    assert str(exc.value) == str(first)
+
+
+def reference_flux(p, omegas, lmax):
+    """flux-classify's rows by the scalar loop."""
+    rows = []
+    mass = math.sqrt(abs(p.Delta * (p.Delta - p.d))) / p.R
+    for w in omegas:
+        for l in range(lmax + 1):
+            if w * w > mass * mass:
+                p_r = math.sqrt(w * w - mass * mass)
+                for kind in ("h1", "j", "n"):
+                    f = specfun.radial_basis(kind, l, p_r * 6.0)
+                    df = p_r * specfun.radial_basis_deriv(kind, l, p_r * 6.0)
+                    v = flux.mode_flux("minkowski", {"d": p.d}, w, l, (f, df), rho=6.0)
+                    rows.append(["minkowski", kind, w, l, v.flux_per_time, v.verdict])
+                fa, dfa, _ = flux.ads_combined_mode(p, w, l, 0.7)
+                v = flux.mode_flux("ads", p, w, l, (fa, dfa), rho=0.7)
+                rows.append(["ads", "combined", w, l, v.flux_per_time, v.verdict])
+            for channel in ("a", "b"):
+                fr = ads_modes.radial_eval(p, w, l, channel, 0.7)
+                dfr = ads_modes.radial_eval_deriv(p, w, l, channel, 0.7)
+                v = flux.mode_flux("ads", p, w, l, (fr, dfr), rho=0.7)
+                rows.append(["ads", f"channel_{channel}", w, l, v.flux_per_time, v.verdict])
+    return rows
+
+
+class TestFluxClassify:
+    @pytest.mark.parametrize("d, delta", [(3, 4.2), (3, 1.7), (5, 3.1), (5, 6.45), (7, 3.5)])
+    def test_rows_equal_scalar_loop(self, d, delta, monkeypatch, capsys):
+        # the grids straddle the mass shell sqrt|Delta (Delta - d)|
+        omega = "-4:9:0.35"
+        argv = ["flux-classify", "--d", str(d), "--delta", repr(delta), f"--omega={omega}", "--lmax", "6"]
+        rc, rows, _ = run_cli(argv, monkeypatch, capsys)
+        p = ads_modes.AdSParams(d, delta)
+        omegas = [w for w in cli.parse_omega_range(omega) if w != 0.0]
+        ref = reference_flux(p, omegas, 6)
+        assert rc == cli.EXIT_OK
+        assert {row[1] for row in ref} == {"h1", "j", "n", "combined", "channel_a", "channel_b"}
+        assert as_text(rows) == as_text(ref)
+
+    @pytest.mark.parametrize("d, omega", [(4, "0.5:3:0.5"), (6, "0.1:0.3:0.1"), (6, "9:10:0.5")])
+    def test_even_d_channel_b_pole(self, d, omega, monkeypatch, capsys):
+        p = ads_modes.AdSParams(d, 4.2)
+        with pytest.raises(PoleError) as exc:
+            reference_flux(p, [w for w in cli.parse_omega_range(omega) if w], 2)
+        rc, rows, err = run_cli(["flux-classify", "--d", str(d), "--omega", omega], monkeypatch, capsys)
+        assert (rc, rows) == (cli.EXIT_NUMERIC, None)
+        assert err == f"numeric error: {exc.value}\n"
+        assert f"is a nonpositive integer (even d = {d})" in err
+
+    def test_not_decreasing_series_names_its_point(self, monkeypatch, capsys):
+        # channel b at omega = 80, l = 34 trips the not-decreasing check
+        p = ads_modes.AdSParams(3, 45.1208390683)
+        omegas = cli.parse_omega_range("79:81:0.5")
+        ref = scalar_or_error(ads_modes.radial_eval, p, 80.0, 34, "b", 0.7)
+        assert isinstance(ref, ConvergenceError) and "not decreasing" in str(ref)
+        with pytest.raises(ConvergenceError) as exc:
+            reference_flux(p, omegas, 36)
+        assert str(exc.value) == str(ref)
+        argv = ["flux-classify", "--d", "3", "--delta", "45.1208390683", "--omega", "79:81:0.5", "--lmax", "36"]
+        rc, rows, err = run_cli(argv, monkeypatch, capsys)
+        assert (rc, rows, err) == (cli.EXIT_NUMERIC, None, f"numeric error: {ref}\n")
+        omega, l = cli._sweep_points(omegas, 36)
+        _, faults = ads_modes._channel_grid(p, omega, l, 0.7)
+        point = int(np.flatnonzero((omega == 80.0) & (l == 34))[0])
+        assert [(stage, channel, str(e)) for stage, channel, e in faults[point]] == [(0, 1, str(ref))]
+
+    def test_channel_grid_bit_equal_to_radial_eval(self):
+        p = ads_modes.AdSParams(5, 3.3)
+        omega, l = cli._sweep_points([-7.5, -0.3, 0.0, 1.1, 12.25], 8)
+        channels, faults = ads_modes._channel_grid(p, omega, l, 1.2)
+        assert not faults
+        for i, (w, ll) in enumerate(zip(omega.tolist(), l.tolist())):
+            ref = [
+                f(p, w, ll, channel, 1.2)
+                for channel in ("a", "b")
+                for f in (ads_modes.radial_eval, ads_modes.radial_eval_deriv)
+            ]
+            assert [repr(c[i].item()) for c in channels] == [repr(v) for v in ref]

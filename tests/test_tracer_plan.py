@@ -5,11 +5,13 @@ count of mode vectors; a rename or a storage change that breaks either
 shows up here rather than only in a traced benchmark run.
 """
 
+import json
 import os
 
 import numpy as np
 
 import adskg
+import adskg.cli  # the tracer wraps cli.main and cli.write_rows
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -43,3 +45,29 @@ def test_tracer_plan_and_entry_counter(monkeypatch):
     # (its ModeVector(...) call and its result)
     assert tracer.counters["ads_modes.entries"] == 5 * len(entries)
     assert back == phi
+
+
+def test_traced_sweeps_count_their_rows(monkeypatch, tmp_path):
+    # candidate-sweep and flux-classify evaluate their grids in private array
+    # helpers; a traced run must still complete and count the rows it writes
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracing
+
+    tracer = tracing.Tracer(adskg)
+    argvs = [
+        ["candidate-sweep", "--d", "4", "--delta", "3.37", "--omega", "0.05:2:0.25", "--lmax", "3"],
+        ["flux-classify", "--d", "3", "--omega", "0.5:4:0.5", "--lmax", "2", "--format", "json"],
+    ]
+    written = 0
+    tracer.install()
+    try:
+        for k, argv in enumerate(argvs):
+            out = tmp_path / f"out{k}"
+            assert adskg.cli.main(argv + ["--out", str(out)]) == 0
+            text = out.read_text()
+            written += len(json.loads(text)) if "json" in argv else text.count("\n") - 1
+    finally:
+        tracer.uninstall()
+    assert written > 0
+    assert tracer.counters["cli.rows"] == written
+    assert tracer.counters["flux.mode_flux.calls"] > 0
