@@ -1,7 +1,7 @@
 """Mode-space numerics for Klein-Gordon theory on Minkowski and AdS hypercylinders.
 
 Submodules:
-  specfun                 scalar special functions (Gamma, Bessel family, 2F1)
+  specfun                 special functions (Gamma, Bessel family, 2F1)
   harmonics               hyperspherical harmonics and Wigner rotations
   geometry                Killing fields and exact Lie-algebra checks
   structures              symplectic/complex-structure linear algebra

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._jsonio import encode_array, read_records, records
 from .ads_modes import _channel_params, _cmul, _find, _ordered_sum, is_real_solution
-from .specfun import PoleError, _libm, _log_gamma_grid, log_gamma_signed
+from .specfun import _ARRAY, _FLOAT, _gamma_fault
 
 __all__ = [
     "JFactors",
@@ -238,14 +238,10 @@ def g_rho(p, jf, phi):
     return float(value.real) if abs(value.imag) <= 1e-10 * max(1.0, abs(value)) else value
 
 
-def _boost_factor_minus(p, omega, l):
+def _boost_factor(p, omega, l):
+    """f_minus of the boost recurrences at (omega, l); f_plus is f_minus at -omega."""
     dd, d = p.Delta, p.d
     return (dd + omega - l - d) * (dd - omega + l) / ((2.0 * l + d) * (2.0 * l + d - 2.0))
-
-
-def _boost_factor_plus(p, omega, l):
-    dd, d = p.Delta, p.d
-    return (dd - omega - l - d) * (dd + omega + l) / ((2.0 * l + d) * (2.0 * l + d - 2.0))
 
 
 def boost_recurrence_residual(p, jab, omega, l):
@@ -259,8 +255,8 @@ def boost_recurrence_residual(p, jab, omega, l):
     if l < 0:
         raise ValueError("boost residuals require l >= 0")
     base = jab(omega, l)
-    res_minus = abs(jab(omega - 1.0, l + 1) + base * _boost_factor_minus(p, omega, l))
-    res_plus = abs(jab(omega + 1.0, l + 1) + base * _boost_factor_plus(p, omega, l))
+    res_minus = abs(jab(omega - 1.0, l + 1) + base * _boost_factor(p, omega, l))
+    res_plus = abs(jab(omega + 1.0, l + 1) + base * _boost_factor(p, -omega, l))
     return res_minus, res_plus
 
 
@@ -274,45 +270,32 @@ def boost_recurrence_residual_ba(p, jba, omega, l):
     if l < 0:
         raise ValueError("boost residuals require l >= 0")
     base = jba(omega, l)
-    res_minus = abs(jba(omega - 1.0, l + 1) * _boost_factor_minus(p, omega, l) + base)
-    res_plus = abs(jba(omega + 1.0, l + 1) * _boost_factor_plus(p, omega, l) + base)
+    res_minus = abs(jba(omega - 1.0, l + 1) * _boost_factor(p, omega, l) + base)
+    res_plus = abs(jba(omega + 1.0, l + 1) * _boost_factor(p, -omega, l) + base)
     return res_minus, res_plus
 
 
-def _gamma_product(numerator, denominator):
-    """exp(sum log|Gamma| numerator - denominator) with sign tracking.
-
-    Each side is summed in sorted argument order, so a candidate's value
-    does not depend on how its arguments are listed; -omega swaps them.
-    """
-    log_total = 0.0
-    sign = 1
-    for x in sorted(numerator):
-        g = log_gamma_signed(x)
-        if g.is_pole:
-            raise PoleError(f"Gamma pole at argument {x}")
-        log_total += g.log_abs
-        sign *= g.sign
-    for x in sorted(denominator):
-        g = log_gamma_signed(x)
-        if g.is_pole:
-            raise PoleError(f"Gamma pole at argument {x}")
-        log_total -= g.log_abs
-        sign *= g.sign
-    return sign * math.exp(log_total)
-
-
-def _candidate_sides(which, alpha_a, beta_a, alpha_b, beta_b):
-    """Numerator and denominator Gamma arguments of a candidate, less G(g) G(g-1)."""
-    if which == 1:
-        return (alpha_a, beta_a), (alpha_b, beta_b)
-    if which == 2:
-        return (1.0 - alpha_b, 1.0 - beta_b), (1.0 - alpha_a, 1.0 - beta_a)
-    if which == 3:
-        return (), (alpha_b, beta_b, 1.0 - alpha_a, 1.0 - beta_a)
-    if which == 4:
-        return (alpha_a, beta_a, 1.0 - alpha_b, 1.0 - beta_b), ()
-    raise ValueError("candidate index must be 1..4")
+def _candidate(which, p, omega, l, ops):
+    """Candidate `which` at (omega, l) by signed-log Gamma products, each side summed in
+    sorted argument order (so -omega, which swaps arguments, gives the same value): the
+    value, the log of its magnitude and each argument in that order with its fault flags."""
+    aa, ba, ab, bb, g = _channel_params(p, omega, l)
+    # the channel pairs (alpha, beta) and their reflections (1 - alpha, 1 - beta)
+    a, b = (aa, ba), (ab, bb)
+    ra, rb = (1.0 - aa, 1.0 - ba), (1.0 - ab, 1.0 - bb)
+    sides = {1: (a, b), 2: (rb, ra), 3: ((), b + ra), 4: (a + rb, ())}
+    if which not in sides:
+        raise ValueError("candidate index must be 1..4")
+    numerator, denominator = sides[which]
+    sign = (-1.0) ** l if which in (1, 2) else 1.0
+    log_total, args = 0.0, []
+    for direction, side in ((1.0, numerator), (-1.0, denominator + (g, g - 1.0))):
+        for x in ops.sort(side):
+            log_abs, s, fault = ops.log_gamma(x)
+            log_total = log_total + direction * log_abs
+            sign = sign * s
+            args.append((x, fault))
+    return sign * ops.exp(log_total), log_total, args
 
 
 def candidate_jab(which, p, omega, l):
@@ -325,66 +308,31 @@ def candidate_jab(which, p, omega, l):
     with aa/ba the channel-a parameter pair, ab/bb the channel-b pair,
     g = l + d/2.  Real for real inputs; poles raise with the argument.
     """
-    from .ads_modes import hypergeo_params
-
-    hp = hypergeo_params(p, omega, l)
-    numerator, denominator = _candidate_sides(which, hp.alpha_a, hp.beta_a, hp.alpha_b, hp.beta_b)
-    val = _gamma_product(numerator, denominator + (hp.gamma, hp.gamma - 1.0))
-    return (-1.0) ** l * val if which in (1, 2) else val
+    value, _, args = _candidate(which, p, omega, l, _FLOAT)
+    for x, fault in args:
+        if fault:
+            raise _gamma_fault(x)
+    return value
 
 
 @np.errstate(all="ignore")
 def _candidate_jab_grid(which, p, omega, l):
     """candidate_jab over arrays omega and l (ints): (values, faults).
 
-    Each side's arguments are sorted per point and summed in that order,
-    as _gamma_product does, so every value is bit for bit the scalar's.
     faults maps the index of a point where candidate_jab raises to the
-    exception it raises first: a negative l, then per argument in sorted
-    numerator and then sorted denominator order a non-finite value or a
-    pole, then an overflowing exp.
+    exception it raises first: per argument in sorted numerator and then
+    sorted denominator order a non-finite value or a pole, then an
+    overflowing exp.  A negative l anywhere raises ValueError at once.
     """
-    l = np.asarray(l)
-    aa, ba, ab, bb, gamma = _channel_params(p, np.asarray(omega, dtype=float), l)
-    numerator, denominator = _candidate_sides(which, aa, ba, ab, bb)
-    sides = [
-        np.sort(np.array(side, dtype=float).reshape(len(side), l.size), axis=0, kind="stable")
-        for side in (numerator, denominator + (gamma, gamma - 1.0))
-    ]
-    args = np.concatenate(sides)
-    finite = np.isfinite(args)
-    log_abs, sign, pole = _log_gamma_grid(np.where(finite, args, 1.0))
-    # a running total in argument order, as the scalar adds and subtracts;
-    # 0.0 + turns a -0.0 into the 0.0 the scalar's total starts from
-    log_abs[len(numerator) :] *= -1.0
-    log_total = 0.0 + np.cumsum(log_abs, axis=0)[-1]
+    omega, l = np.asarray(omega, dtype=float), np.asarray(l)
+    values, log_total, args = _candidate(which, p, omega, l, _ARRAY)
     faults = {}
-    bad = ~finite | pole
-    failed = bad.any(axis=0)
-    for i in np.flatnonzero(failed | (l < 0)).tolist():
-        if l.item(i) < 0:
-            faults[i] = ValueError("hypergeo_params requires l >= 0")
-            continue
-        x = args[np.argmax(bad[:, i]), i].item()
-        if math.isfinite(x):
-            faults[i] = PoleError(f"Gamma pole at argument {x}")
-        else:
-            faults[i] = ValueError("log_gamma_signed requires finite x")
-    magnitude = _libm(_exp_or_inf, np.where(failed, 0.0, log_total))
-    for i in np.flatnonzero(np.isinf(magnitude) & np.isfinite(log_total)).tolist():
+    for x, fault in args:
+        for i in np.flatnonzero(fault).tolist():
+            faults.setdefault(i, _gamma_fault(x.item(i)))
+    for i in np.flatnonzero(np.isinf(values) & np.isfinite(log_total)).tolist():
         faults.setdefault(i, OverflowError("math range error"))
-    values = np.prod(sign, axis=0) * magnitude
-    if which in (1, 2):
-        values = np.where(l % 2, -1.0, 1.0) * values
     return values, faults
-
-
-def _exp_or_inf(x):
-    """math.exp, with inf where it raises OverflowError."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 @np.errstate(all="ignore")
@@ -396,20 +344,14 @@ def _candidate_boost_grid(which, p, omega, l):
     order, each point's own value before its (omega - 1, l + 1) and then
     its (omega + 1, l + 1) neighbour.
     """
-    omega = np.asarray(omega, dtype=float)
-    l = np.asarray(l)
-    grids = [
-        _candidate_jab_grid(which, p, omega, l),
-        _candidate_jab_grid(which, p, omega - 1.0, l + 1),
-        _candidate_jab_grid(which, p, omega + 1.0, l + 1),
-    ]
-    faults = [(i, slot, exc) for slot, (_, found) in enumerate(grids) for i, exc in found.items()]
+    omega, l = np.asarray(omega, dtype=float), np.asarray(l)
+    omegas = np.concatenate([omega, omega - 1.0, omega + 1.0])
+    values, faults = _candidate_jab_grid(which, p, omegas, np.concatenate([l, l + 1, l + 1]))
     if faults:
-        raise min(faults, key=lambda fault: fault[:2])[2]
-    (base, _), (minus, _), (plus, _) = grids
-    res_minus = np.abs(minus + base * _boost_factor_minus(p, omega, l))
-    res_plus = np.abs(plus + base * _boost_factor_plus(p, omega, l))
-    return base, res_minus, res_plus
+        raise faults[min(faults, key=lambda i: (i % l.size, i // l.size))]
+    base, minus, plus = values.reshape(3, l.size)
+    res_minus = np.abs(minus + base * _boost_factor(p, omega, l))
+    return base, res_minus, np.abs(plus + base * _boost_factor(p, -omega, l))
 
 
 def complete_nondiagonal(jab, jaa=0.0):

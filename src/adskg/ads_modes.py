@@ -5,6 +5,10 @@ angular-momentum labelled modes with two radial channels: channel a is
 regular at the origin, channel b singular.  The radial profiles are
 hypergeometric in sin^2(rho); their conserved relative Wronskian is what
 makes the mode-space symplectic structure hypersurface independent.
+
+A channel's set-up (sin exponent, 2F1 parameters, channel b's pole) is
+stated once for floats and arrays: radial_eval[_deriv] drive it at one
+point and _channel_grid over a grid, bit for bit alike (libm per element).
 """
 
 import functools
@@ -17,7 +21,7 @@ import numpy as np
 
 from ._jsonio import encode_array, read_records, records
 from .harmonics import MultiIndex, all_indices
-from .specfun import PoleError, _hyp2f1_grid, _near_pole, _near_pole_grid, hyp2f1, hyp2f1_dz
+from .specfun import PoleError, _dz_series, _hyp2f1_grid, _near_pole, hyp2f1, hyp2f1_dz
 
 __all__ = [
     "AdSParams",
@@ -81,13 +85,17 @@ def hypergeo_params(p, omega, l):
     alpha_b = (Delta - omega - l - d + 2)/2, beta_b likewise with +omega,
     gamma = l + d/2.
     """
-    if l < 0:
-        raise ValueError("hypergeo_params requires l >= 0")
     return HypergeoParams(*_channel_params(p, omega, l))
 
 
 def _channel_params(p, omega, l):
-    """(alpha_a, beta_a, alpha_b, beta_b, gamma): floats, or arrays for arrays omega and l."""
+    """(alpha_a, beta_a, alpha_b, beta_b, gamma): floats, or arrays for arrays omega and l.
+
+    A negative l raises, at a point or anywhere in an array (a numpy
+    reduction would cost microseconds at every point).
+    """
+    if (l.min(initial=0) if isinstance(l, np.ndarray) else l) < 0:
+        raise ValueError("hypergeo_params requires l >= 0")
     dd = p.Delta
     return (
         0.5 * (dd - omega + l),
@@ -105,22 +113,32 @@ def _check_rho(rho):
     return z
 
 
-def _channel_b_pole(p, c):
+def _channel(p, omega, l, channel):
+    """Sin exponent, 2F1 parameters (a, b, c) and pole flags of c of a channel: floats, or
+    arrays for arrays omega and l.  Channel a's c = l + d/2 is never a pole; channel b's
+    c = 2 - l - d/2 is one for even d."""
+    aa, ba, ab, bb, gamma = _channel_params(p, omega, l)
+    if channel == "a":
+        return l, (aa, ba, gamma), False
+    if channel == "b":
+        return 2.0 - p.d - l, (ab, bb, 2.0 - gamma), _near_pole(2.0 - gamma)
+    raise ValueError(f"unknown channel {channel!r}")
+
+
+def _channel_pole(p, c):
     return PoleError(
         f"channel b series parameter 2 - gamma = {c} is a nonpositive integer (even d = {p.d})"
     )
 
 
-def _channel_pieces(p, omega, l, channel):
-    hp = hypergeo_params(p, omega, l)
-    if channel == "a":
-        return l, hp.alpha_a, hp.beta_a, hp.gamma
-    if channel == "b":
-        c = 2.0 - hp.gamma
-        if _near_pole(c):
-            raise _channel_b_pole(p, c)
-        return 2.0 - p.d - l, hp.alpha_b, hp.beta_b, c
-    raise ValueError(f"unknown channel {channel!r}")
+def _point_channel(p, omega, l, channel, rho):
+    """sin^2 rho, the sin exponent and (a, b, c) of a channel at one point;
+    raises what radial_eval raises."""
+    z = _check_rho(rho)
+    exp_sin, params, pole = _channel(p, omega, l, channel)
+    if pole:
+        raise _channel_pole(p, params[2])
+    return z, exp_sin, params
 
 
 def _rho_factors(p, exp_sin, rho):
@@ -151,17 +169,15 @@ def radial_eval(p, omega, l, channel, rho):
     channel a: sin^l rho cos^Delta rho F(alpha_a, beta_a; gamma; sin^2 rho);
     channel b: the sin^(2-d-l) companion with the 2-gamma series.
     """
-    z = _check_rho(rho)
-    exp_sin, aa, bb, cc = _channel_pieces(p, omega, l, channel)
-    return _rho_factors(p, exp_sin, rho)[2] * hyp2f1(aa, bb, cc, z)
+    z, exp_sin, params = _point_channel(p, omega, l, channel, rho)
+    return _rho_factors(p, exp_sin, rho)[2] * hyp2f1(*params, z)
 
 
 def radial_eval_deriv(p, omega, l, channel, rho):
     """d/drho of radial_eval, term-wise analytic differentiation."""
-    z = _check_rho(rho)
-    exp_sin, aa, bb, cc = _channel_pieces(p, omega, l, channel)
-    f = hyp2f1(aa, bb, cc, z)
-    df = hyp2f1_dz(aa, bb, cc, z)
+    z, exp_sin, params = _point_channel(p, omega, l, channel, rho)
+    f = hyp2f1(*params, z)
+    df = hyp2f1_dz(*params, z)
     return _profile_deriv(_rho_factors(p, exp_sin, rho), f, df)
 
 
@@ -176,27 +192,25 @@ def _channel_grid(p, omega, l, rho):
     series or channel b's pole, 1 for its derivative series.
     """
     z = _check_rho(rho)
-    l = np.asarray(l)
-    aa, ba, ab, bb, gamma = _channel_params(p, np.asarray(omega, dtype=float), l)
-    cb = 2.0 - gamma
-    pole_b = _near_pole_grid(cb)
-    faults = {i: [(0, 1, _channel_b_pole(p, cb.item(i)))] for i in np.flatnonzero(pole_b).tolist()}
-    channels = (
-        (np.arange(l.size), (aa, ba, gamma), lambda ll: ll),
-        (np.flatnonzero(~pole_b), (ab, bb, cb), lambda ll: 2.0 - p.d - ll),
-    )
-    out = []
-    for channel, (points, params, exp_sin) in enumerate(channels):
-        a, b, c = (x[points] for x in params)
+    omega, l = np.asarray(omega, dtype=float), np.asarray(l)
+    faults, out = {}, []
+    for channel, name in enumerate("ab"):
+        exp_sin, (a, b, c), pole = _channel(p, omega, l, name)
+        pole = np.broadcast_to(pole, l.shape)
+        for i in np.flatnonzero(pole).tolist():
+            faults.setdefault(i, []).append((0, channel, _channel_pole(p, c.item(i))))
+        points = np.flatnonzero(~pole)
+        a, b, c = a[points], b[points], c[points]
+        factor, shifted = _dz_series(a, b, c)
         f, f_faults = _hyp2f1_grid(a, b, c, z)
-        f1, f1_faults = _hyp2f1_grid(a + 1.0, b + 1.0, c + 1.0, z)
+        f1, f1_faults = _hyp2f1_grid(*shifted, z)
         # where both series fail, the value series fails first
         for i, exc in (f1_faults | f_faults).items():
             faults.setdefault(points.item(i), []).append((int(i not in f_faults), channel, exc))
-        # the powers of sin and cos per l, taken as the scalar takes them
-        per_l = [_rho_factors(p, exp_sin(ll), rho) for ll in range(int(l.max(initial=0)) + 1)]
-        factors = np.array(per_l)[l[points]].T
-        for part in (factors[2] * f, _profile_deriv(factors, f, a * b / c * f1)):
+        # the powers of sin and cos per exponent, taken as radial_eval takes them
+        exps, at = np.unique(exp_sin[points], return_inverse=True)
+        factors = np.reshape([_rho_factors(p, e, rho) for e in exps.tolist()], (-1, 5))[at].T
+        for part in (factors[2] * f, _profile_deriv(factors, f, factor * f1)):
             full = np.full(l.shape, np.nan)
             full[points] = part
             out.append(full)
@@ -208,11 +222,15 @@ def radial_wronskian(p, omega, l, rho):
 
     With unit leading coefficients its value is -(2l + d - 2).
     """
-    sa = radial_eval(p, omega, l, "a", rho)
-    sb = radial_eval(p, omega, l, "b", rho)
-    dsa = radial_eval_deriv(p, omega, l, "a", rho)
-    dsb = radial_eval_deriv(p, omega, l, "b", rho)
+    sa, dsa, sb, dsb = _radial_point(p, omega, l, rho)
     return math.tan(rho) ** (p.d - 1) * (sa * dsb - sb * dsa)
+
+
+def _radial_point(p, omega, l, rho):
+    """(S_a, dS_a, S_b, dS_b) at one point, as _channel_grid gives them; values first."""
+    sa, sb = (radial_eval(p, omega, l, channel, rho) for channel in "ab")
+    dsa, dsb = (radial_eval_deriv(p, omega, l, channel, rho) for channel in "ab")
+    return sa, dsa, sb, dsb
 
 
 class _LabelSpace(NamedTuple):

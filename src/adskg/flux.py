@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ads_modes import radial_eval, radial_eval_deriv
-from .specfun import double_factorial
+from .ads_modes import _radial_point
+from .specfun import ConvergenceError, double_factorial
 
 __all__ = [
     "DiagonalMetricPoint",
@@ -99,7 +99,7 @@ class DirectionVerdict:
 def _wronskian_flux(prefactor, f, df):
     f = complex(f)
     df = complex(df)
-    w = np.conj(f) * df - f * np.conj(df)  # anti-Hermitian, purely imaginary
+    w = f.conjugate() * df - f * df.conjugate()  # anti-Hermitian, purely imaginary
     return float((prefactor * w).real)
 
 
@@ -113,7 +113,8 @@ def mode_flux(spacetime, p, omega, l, radial, rho=None):
     (conj(f) f' - f conj(f')).
 
     Verdict: outgoing / incoming by the flux sign, standing when the
-    flux vanishes against the |f||f'| scale.
+    flux vanishes against the |f||f'| scale.  A flux that is not finite
+    has no sign and raises ConvergenceError.
     """
     f, df = radial
     if spacetime == "minkowski":
@@ -128,6 +129,8 @@ def mode_flux(spacetime, p, omega, l, radial, rho=None):
     else:
         raise ValueError(f"unknown spacetime {spacetime!r}")
     flux = _wronskian_flux(pref, f, df)
+    if not math.isfinite(flux):
+        raise ConvergenceError(f"{spacetime} flux at omega = {omega}, l = {l} is {flux}")
     scale = abs(omega) * max(abs(f) * abs(df), 1e-300)
     if abs(flux) <= STANDING_TOL * max(1.0, scale):
         return DirectionVerdict("standing", flux)
@@ -143,13 +146,7 @@ def ads_combined_mode(p, omega, l, rho):
     spherical-Neumann sign (negative leading coefficient), matching its
     flat limit.  Returns (f, df, p_r); its flux is 4 omega R^(d-1)/p_r.
     """
-
-    def channels():
-        sa, sb = (radial_eval(p, omega, l, channel, rho) for channel in "ab")
-        dsa, dsb = (radial_eval_deriv(p, omega, l, channel, rho) for channel in "ab")
-        return sa, dsa, sb, dsb
-
-    return _combined_mode(p, omega, l, channels)
+    return _combined_mode(p, omega, l, lambda: _radial_point(p, omega, l, rho))
 
 
 def _combined_mode(p, omega, l, channels):

@@ -1,4 +1,4 @@
-"""Scalar special functions used throughout the package.
+"""Special functions used throughout the package.
 
 Gamma via a Lanczos approximation in signed-log form, double factorials,
 associated Legendre and Gegenbauer polynomials by three-term recurrence,
@@ -6,12 +6,18 @@ the Gauss hypergeometric series, and the spherical Bessel family
 j_l, n_l, h1_l, h2_l together with their evanescent (imaginary-argument)
 companions.  Formula references are to DLMF chapter 10 and
 Abramowitz & Stegun chapters 8 and 22.
+
+Signed-log Gamma and the 2F1 series state each rule once for floats and
+float arrays, with an elementwise-operations table (_FLOAT or _ARRAY).  A
+public float function and a private array form run it, both with libm's
+log, sin and exp per element, so the two agree bit for bit.
 """
 
 import math
 import cmath
 import functools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -39,26 +45,26 @@ POLE_TOL = 1e-9
 
 
 def _near_pole(x):
-    """Whether x sits on (or within POLE_TOL of) a nonpositive integer."""
-    return x <= 0.5 and abs(x - round(x)) <= POLE_TOL and round(x) <= 0
-
-
-def _near_pole_grid(x):
-    """_near_pole over a float array (numpy's rint rounds half to even, as round does)."""
-    nearest = np.rint(x)
-    return (x <= 0.5) & (np.abs(x - nearest) <= POLE_TOL) & (nearest <= 0)
+    """Whether x is within POLE_TOL of a nonpositive integer (the nearest integer to any
+    x <= 0.5 is one), for floats or arrays.  For an infinite x numpy flags inf - inf."""
+    return (x <= 0.5) & (abs(x - np.rint(x)) <= POLE_TOL)
 
 
 def _libm(fn, x):
     """fn of the math module applied per element of a float array.
 
     numpy's vectorised log, exp and sin may differ from libm in the last
-    bits; the array forms below use libm so that they match the scalars.
+    bits; the array forms use libm so that they match the float forms.
     """
     return np.fromiter(map(fn, x.ravel().tolist()), dtype=float, count=x.size).reshape(x.shape)
 
 
-_log = functools.partial(_libm, math.log)
+def _exp_or_inf(x):
+    """math.exp, with inf where it raises OverflowError."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 class PoleError(ArithmeticError):
@@ -103,55 +109,75 @@ class SignedLogGamma:
         return self.sign * math.exp(self.log_abs)
 
 
-def _lanczos_log_gamma(x, log=math.log):
-    """log Gamma(x) for x >= 0.5, Lanczos rational approximation.
-
-    Plain arithmetic, so x may be a float array when log is one too.
-    """
-    z = x - 1.0
+def _log_gamma(x, reflect, ops):
+    """(log|Gamma(x)|, sign) off the poles for a float, or an array all on one side of 0.5:
+    Lanczos for x >= 0.5, and with reflect (x < 0.5) Gamma(x) = pi / (sin(pi x) Gamma(1 - x)),
+    which covers the negative non-integer arguments of the Gamma-ratio candidates."""
+    z = (1.0 - x if reflect else x) - 1.0
     acc = _LANCZOS_C[0]
     for i in range(1, len(_LANCZOS_C)):
         acc += _LANCZOS_C[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return _LOG_SQRT_2PI + (z + 0.5) * log(t) - t + log(acc)
+    log_abs = _LOG_SQRT_2PI + (z + 0.5) * ops.log(t) - t + ops.log(acc)
+    if not reflect:
+        return log_abs, 1
+    s = ops.sin(math.pi * x)
+    return math.log(math.pi) - ops.log(abs(s)) - log_abs, 2 * (s > 0) - 1
+
+
+def _gamma_fault(x):
+    """The error for Gamma at x, a pole or a non-finite argument."""
+    if math.isfinite(x):
+        return PoleError(f"Gamma pole at argument {x}")
+    return ValueError("log_gamma_signed requires finite x")
+
+
+def _log_gamma_float(x):
+    """(log|Gamma(x)|, sign, fault) of a float x, as _log_gamma_grid gives them per element."""
+    reflect = x < 0.5  # the poles all lie in the reflection branch
+    if not math.isfinite(x) or reflect and _near_pole(x):
+        return math.nan, 0, True
+    return (*_log_gamma(x, reflect, _FLOAT), False)
 
 
 def log_gamma_signed(x):
-    """Gamma in signed-log form, poles flagged instead of raised.
-
-    Reflection is applied for x < 0.5 so that negative non-integer
-    arguments (which appear in the Gamma-ratio candidates) are covered.
-    """
+    """Gamma in signed-log form, poles flagged instead of raised."""
     x = float(x)
     if not math.isfinite(x):
-        raise ValueError("log_gamma_signed requires finite x")
-    if _near_pole(x):
-        return SignedLogGamma(log_abs=math.nan, sign=0, is_pole=True)
-    if x >= 0.5:
-        return SignedLogGamma(log_abs=_lanczos_log_gamma(x), sign=1, is_pole=False)
-    # Gamma(x) = pi / (sin(pi x) Gamma(1 - x))
-    s = math.sin(math.pi * x)
-    log_abs = math.log(math.pi) - math.log(abs(s)) - _lanczos_log_gamma(1.0 - x)
-    return SignedLogGamma(log_abs=log_abs, sign=1 if s > 0 else -1, is_pole=False)
+        raise _gamma_fault(x)
+    return SignedLogGamma(*_log_gamma_float(x))
 
 
 @np.errstate(all="ignore")
 def _log_gamma_grid(x):
-    """log_gamma_signed over a finite float array: (log_abs, sign, pole) arrays.
+    """log_gamma_signed over a float array: (log_abs, sign, fault) arrays.
 
-    Bit for bit the scalar's values; log_abs is nan and sign 0 at poles.
+    fault marks poles and non-finite x, where log_abs is nan and sign 0.
     """
-    pole = _near_pole_grid(x)
-    reflect = (x < 0.5) & ~pole
-    log_abs = _lanczos_log_gamma(np.where(reflect, 1.0 - x, np.where(pole, 1.0, x)), log=_log)
-    # Gamma(x) = pi / (sin(pi x) Gamma(1 - x))
-    s = _libm(math.sin, math.pi * x[reflect])
-    log_abs[reflect] = math.log(math.pi) - _log(np.abs(s)) - log_abs[reflect]
-    log_abs[pole] = math.nan
-    sign = np.ones(x.shape, dtype=int)
-    sign[reflect] = np.where(s > 0, 1, -1)
-    sign[pole] = 0
-    return log_abs, sign, pole
+    fault = _near_pole(x) | ~np.isfinite(x)
+    log_abs = np.full(x.shape, math.nan)
+    sign = np.zeros(x.shape, dtype=int)
+    for reflect in (False, True):
+        at = ~fault & ((x < 0.5) == reflect)
+        log_abs[at], sign[at] = _log_gamma(x[at], reflect, _ARRAY)
+    return log_abs, sign, fault
+
+
+# The operations of the shared rules.  For arrays exp gives inf where math.exp overflows
+# and sort orders same-shape arrays per element; fmax(1.0, nan) is 1.0 for both.
+_FLOAT = SimpleNamespace(
+    log=math.log, sin=math.sin, exp=math.exp, fmax=max, any=bool, sort=sorted,
+    log_gamma=_log_gamma_float,
+)
+_ARRAY = SimpleNamespace(
+    log=functools.partial(_libm, math.log),
+    sin=functools.partial(_libm, math.sin),
+    exp=functools.partial(_libm, _exp_or_inf),
+    fmax=np.fmax,
+    any=np.any,
+    sort=lambda side: np.sort(np.array(side, dtype=float), axis=0, kind="stable"),
+    log_gamma=_log_gamma_grid,
+)
 
 
 def gamma_value(x):
@@ -236,6 +262,49 @@ _HYP_TAIL = 1e-13
 _HYP_Z_MAX = 0.95
 
 
+def _hyp2f1_poles(c, z):
+    """Pole flags of c, once z is checked against the series domain."""
+    if not 0.0 <= z <= _HYP_Z_MAX:
+        raise ValueError(f"hyp2f1 series restricted to z in [0, {_HYP_Z_MAX}]")
+    return _near_pole(c)
+
+
+def _hyp2f1_fault(a, b, c, z, k=None):
+    """The error of a failing series: c at a pole (k None), terms growing at
+    step k, or the term cap (k = _HYP_MAX_TERMS)."""
+    if k is None:
+        return PoleError(f"hyp2f1 parameter c = {c} is at a series pole")
+    if k == _HYP_MAX_TERMS:
+        return ConvergenceError(f"hyp2f1({a},{b};{c};{z}) hit the {k}-term cap")
+    return ConvergenceError(f"hyp2f1({a},{b};{c};{z}) terms not decreasing after {k} steps")
+
+
+def _hyp2f1_sum(a, b, c, z, term, ops, retire):
+    """Sum the 2F1 series for floats or arrays a, b, c; None at the term cap.
+
+    When term k stops some elements, retire(k, total, done, growing) gives the mask of
+    those that go on, or None to end with this total.  done: the term is zero or below
+    the tail tolerance.  growing (never with done): past the parameter scale the terms
+    should decrease, and this one exceeds the last and 1e6 times the total.
+    """
+    fmax, stops, total = ops.fmax, ops.any, term
+    for k in range(_HYP_MAX_TERMS):
+        new = term * ((a + k) * (b + k) / ((c + k) * (k + 1.0)) * z)
+        total = total + new  # a zero term leaves the total as it was
+        size = abs(new)
+        scale = fmax(1.0, abs(total))
+        done = (new == 0.0) | (size <= _HYP_TAIL * scale)
+        growing = k > 30 and z > 0.0 and (size > abs(term)) & (size > 1e6 * scale)
+        term = new
+        if stops(done | growing):
+            keep = retire(k, total, done, growing)
+            if keep is None:
+                return total
+            a, b, c, term, total = a[keep], b[keep], c[keep], term[keep], total[keep]
+    return None
+
+
+@np.errstate(invalid="ignore")  # _near_pole of an infinite c
 def hyp2f1(a, b, c, z):
     """Gauss hypergeometric 2F1(a, b; c; z) by direct series summation.
 
@@ -243,87 +312,58 @@ def hyp2f1(a, b, c, z):
     integers.  Terminating cases (a or b a nonpositive integer) are
     summed exactly to the terminating index.
     """
-    if not 0.0 <= z <= _HYP_Z_MAX:
-        raise ValueError(f"hyp2f1 series restricted to z in [0, {_HYP_Z_MAX}]")
-    if _near_pole(c):
-        raise PoleError(f"hyp2f1 parameter c = {c} is at a series pole")
-    total = 1.0
-    term = 1.0
-    prev = math.inf
-    for k in range(_HYP_MAX_TERMS):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        if term == 0.0:
-            return total
-        total += term
-        if abs(term) <= _HYP_TAIL * max(1.0, abs(total)):
-            return total
-        if k > 30 and abs(term) > prev and z > 0.0:
-            # terms should decrease once k exceeds the parameter scale
-            if abs(term) > 1e6 * max(1.0, abs(total)):
-                raise ConvergenceError(
-                    f"hyp2f1({a},{b};{c};{z}) terms not decreasing after {k} steps"
-                )
-        prev = abs(term)
-    raise ConvergenceError(f"hyp2f1({a},{b};{c};{z}) hit the {_HYP_MAX_TERMS}-term cap")
+    if _hyp2f1_poles(c, z):
+        raise _hyp2f1_fault(a, b, c, z)
+
+    def retire(k, total, done, growing):
+        if growing:
+            raise _hyp2f1_fault(a, b, c, z, k)
+
+    total = _hyp2f1_sum(a, b, c, z, 1.0, _FLOAT, retire)
+    if total is None:
+        raise _hyp2f1_fault(a, b, c, z, _HYP_MAX_TERMS)
+    return total
 
 
 @np.errstate(all="ignore")
 def _hyp2f1_grid(a, b, c, z):
     """hyp2f1 over float arrays a, b, c of one shape at one z: (values, faults).
 
-    Every element runs the scalar's loop, term for term, and leaves the
-    active set when it stops, so each value is bit for bit the scalar's.
-    faults maps the flat index of an element the scalar raises for to
-    that exception; its value is nan.
+    Each element leaves the active set when its series stops.  faults maps the
+    flat index of an element hyp2f1 raises for to that exception (value nan).
     """
-    if not 0.0 <= z <= _HYP_Z_MAX:
-        raise ValueError(f"hyp2f1 series restricted to z in [0, {_HYP_Z_MAX}]")
     a, b, c = (np.ravel(v) for v in (a, b, c))
     out = np.full(a.shape, math.nan)
-    pole = _near_pole_grid(c)
-    faults = {
-        i: PoleError(f"hyp2f1 parameter c = {c.item(i)} is at a series pole")
-        for i in np.flatnonzero(pole).tolist()
-    }
+    pole = _hyp2f1_poles(c, z)
+    faults = {i: _hyp2f1_fault(a[i], b[i], c.item(i), z) for i in np.flatnonzero(pole).tolist()}
     active = np.flatnonzero(~pole)
-    aa, bb, cc = a[active], b[active], c[active]
-    total = np.ones(active.size)
-    term = np.ones(active.size)
-    prev = np.full(active.size, math.inf)
-    for k in range(_HYP_MAX_TERMS):
-        if not active.size:
-            break
-        term = term * ((aa + k) * (bb + k) / ((cc + k) * (k + 1.0)) * z)
-        zero = term == 0.0
-        total = np.where(zero, total, total + term)
-        size = np.abs(term)
-        scale = np.fmax(1.0, np.abs(total))  # max(1.0, nan) is 1.0, as in the scalar
-        stop = done = zero | (size <= _HYP_TAIL * scale)
-        if k > 30 and z > 0.0:
-            # terms should decrease once k exceeds the parameter scale
-            growing = ~done & (size > prev) & (size > 1e6 * scale)
-            for i in np.flatnonzero(growing).tolist():
-                faults[active.item(i)] = ConvergenceError(
-                    f"hyp2f1({aa.item(i)},{bb.item(i)};{cc.item(i)};{z}) "
-                    f"terms not decreasing after {k} steps"
-                )
-            stop = done | growing
-        prev = size
-        if stop.any():
-            out[active[done]] = total[done]
-            keep = ~stop
-            active, aa, bb, cc = active[keep], aa[keep], bb[keep], cc[keep]
-            total, term, prev = total[keep], term[keep], prev[keep]
-    for i, index in enumerate(active.tolist()):
-        faults[index] = ConvergenceError(
-            f"hyp2f1({aa.item(i)},{bb.item(i)};{cc.item(i)};{z}) hit the {_HYP_MAX_TERMS}-term cap"
-        )
+
+    def retire(k, total, done, growing):
+        nonlocal active
+        out[active[done]] = total[done]
+        for i in active[np.flatnonzero(growing)].tolist():
+            faults[i] = _hyp2f1_fault(a.item(i), b.item(i), c.item(i), z, k)
+        keep = ~(done | growing)
+        active = active[keep]
+        return keep if active.size else None
+
+    if active.size:
+        _hyp2f1_sum(a[active], b[active], c[active], z, np.ones(active.size), _ARRAY, retire)
+    for i in active.tolist():
+        faults[i] = _hyp2f1_fault(a.item(i), b.item(i), c.item(i), z, _HYP_MAX_TERMS)
     return out, faults
+
+
+def _dz_series(a, b, c):
+    """(factor, (a + 1, b + 1, c + 1)) of the contiguous relation (DLMF 15.5.1)
+    d/dz 2F1(a, b; c; z) = factor 2F1(a + 1, b + 1; c + 1; z)."""
+    return a * b / c, (a + 1.0, b + 1.0, c + 1.0)
 
 
 def hyp2f1_dz(a, b, c, z):
     """d/dz 2F1(a, b; c; z) via the contiguous derivative relation."""
-    return a * b / c * hyp2f1(a + 1.0, b + 1.0, c + 1.0, z)
+    factor, shifted = _dz_series(a, b, c)
+    return factor * hyp2f1(*shifted, z)
 
 
 def _series_j(l, x, sign=-1.0):

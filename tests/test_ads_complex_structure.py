@@ -21,11 +21,12 @@ from adskg.ads_complex_structure import (
 from adskg.ads_modes import (
     AdSParams,
     ModeVector,
+    hypergeo_params,
     is_real_solution,
     omega_rho,
     random_real_mode_vector,
 )
-from adskg.specfun import PoleError
+from adskg.specfun import PoleError, log_gamma_signed
 
 P3 = AdSParams(3, 4.2)
 GRID = [(om, l) for om in (0.5, 1.5, -0.5, -1.5) for l in (0, 1, 2)]
@@ -255,6 +256,30 @@ class TestCandidates:
                     for l in range(11):
                         assert candidate_jab(which, p, omega, l) == candidate_jab(which, p, -omega, l)
 
+    def test_sides_summed_in_ascending_order(self):
+        # the stated summation order, term for term, fixes every bit of the value
+        p = AdSParams(5, 3.37)
+        for omega in (-2.35, 0.55, 4.1):
+            for l in (0, 3):
+                hp = hypergeo_params(p, omega, l)
+                a, b = [hp.alpha_a, hp.beta_a], [hp.alpha_b, hp.beta_b]
+                g = [hp.gamma, hp.gamma - 1.0]
+                sides = {
+                    1: (a, b + g),
+                    2: ([1.0 - x for x in b], [1.0 - x for x in a] + g),
+                    3: ([], b + [1.0 - x for x in a] + g),
+                    4: (a + [1.0 - x for x in b], g),
+                }
+                for which, (numerator, denominator) in sides.items():
+                    total, sign = 0.0, (-1) ** l if which in (1, 2) else 1
+                    for x in sorted(numerator):
+                        g = log_gamma_signed(x)
+                        total, sign = total + g.log_abs, sign * g.sign
+                    for x in sorted(denominator):
+                        g = log_gamma_signed(x)
+                        total, sign = total - g.log_abs, sign * g.sign
+                    assert repr(candidate_jab(which, p, omega, l)) == repr(sign * math.exp(total))
+
     def test_pole_reported_with_argument(self):
         # Delta = 4, omega = 0, l = 0, d = 3: alpha_b = (4 - 0 - 0 - 1)/2 ... no pole;
         # push alpha_b onto a pole: Delta - omega - l - d + 2 = 0
@@ -282,6 +307,30 @@ class TestCandidates:
             after = omega_rho(P3, apply_J(jf, phi), apply_J(jf, eta))
             assert abs(after - base) <= 1e-10 * max(1.0, abs(base))
             assert is_real_solution(apply_J(jf, phi))
+
+    @pytest.mark.parametrize("d, delta", [(3, 4.2), (5, 3.37)])
+    def test_against_mpmath_gamma_products(self, d, delta):
+        # the four candidates straight from Gamma and reciprocal Gamma
+        mp = pytest.importorskip("mpmath")
+        p = AdSParams(d, delta)
+        for omega in (-7.3, -2.35, 0.0, 0.55, 4.1, 9.85):
+            for l in range(6):
+                with mp.workdps(30):
+                    w = mp.mpf(omega)
+                    aa, ba = (delta - w + l) / 2, (delta + w + l) / 2
+                    ab, bb = (delta - w - l - d + 2) / 2, (delta + w - l - d + 2) / 2
+                    g = l + mp.mpf(d) / 2
+                    G, R = mp.gamma, mp.rgamma
+                    common = R(g) * R(g - 1)
+                    want = [
+                        (-1) ** l * G(aa) * G(ba) * R(ab) * R(bb) * common,
+                        (-1) ** l * G(1 - ab) * G(1 - bb) * R(1 - aa) * R(1 - ba) * common,
+                        R(ab) * R(bb) * R(1 - aa) * R(1 - ba) * common,
+                        G(aa) * G(ba) * G(1 - ab) * G(1 - bb) * common,
+                    ]
+                for which, ref in zip((1, 2, 3, 4), map(float, want)):
+                    got = candidate_jab(which, p, omega, l)
+                    assert abs(got - ref) <= 1e-8 * abs(ref), (which, omega, l)
 
     def test_real_at_zero_frequency(self):
         jf = candidate_jfactors(1, P3, [(0.0, l) for l in range(3)])

@@ -96,6 +96,39 @@ class TestRadial:
                     an = radial_eval_deriv(p, 1.3, l, channel, rho)
                     assert an == pytest.approx(fd, rel=1e-7)
 
+    @pytest.mark.parametrize("d, delta", [(3, 4.2), (5, 3.1)])
+    def test_against_mpmath(self, d, delta):
+        # S = sin^e cos^Delta 2F1(a, b; c; sin^2) and dS/drho by mpmath's numerical derivative
+        mp = pytest.importorskip("mpmath")
+        rhos = (0.3, 0.7, 1.2)
+        p = AdSParams(d, delta)
+        for omega in (-10.0, -2.35, 0.0, 10.0):
+            for l in (0, 1, 6):
+                for channel in ("a", "b"):
+                    with mp.workdps(20):
+                        w = mp.mpf(omega)
+                        if channel == "a":
+                            e, a, b = l, (delta - w + l) / 2, (delta + w + l) / 2
+                            c = l + mp.mpf(d) / 2
+                        else:
+                            e = 2 - d - l
+                            a, b = (delta - w - l - d + 2) / 2, (delta + w - l - d + 2) / 2
+                            c = 2 - l - mp.mpf(d) / 2
+
+                        def profile(r):
+                            s = mp.sin(r)
+                            return s**e * mp.cos(r) ** delta * mp.hyp2f1(a, b, c, s * s)
+
+                        refs = [(float(profile(r)), float(mp.diff(profile, mp.mpf(r)))) for r in rhos]
+                    for rho, (s_ref, ds_ref) in zip(rhos, refs):
+                        scale_w = max(1.0, abs(omega))
+                        amplitude = math.hypot(s_ref, ds_ref / scale_w)
+                        s_got = radial_eval(p, omega, l, channel, rho)
+                        ds_got = radial_eval_deriv(p, omega, l, channel, rho)
+                        where = (omega, l, channel, rho)
+                        assert abs(s_got - s_ref) <= 1e-8 * amplitude, where
+                        assert abs(ds_got - ds_ref) <= 1e-8 * amplitude * scale_w, where
+
     def test_domain_guard(self):
         p = AdSParams(3, 4.2)
         with pytest.raises(ValueError):

@@ -234,6 +234,13 @@ class TestFluxClassify:
                 assert cells[i_verdict] == "outgoing"
         assert {"h1", "combined", "channel_a"} <= kinds
 
+    def test_non_finite_flux_exits_numeric(self, capsys):
+        # the radial series overflow at omega = 3000 without a series fault
+        rc = cli.main(["flux-classify", "--omega", "3000:3001:1", "--lmax", "2"])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (cli.EXIT_NUMERIC, "")
+        assert err == "numeric error: ads flux at omega = 3000.0, l = 0 is nan\n"
+
 
 class TestHarmonicsTable:
     def test_ladder_table(self, tmp_path):

@@ -12,7 +12,7 @@ from adskg.flux import (
     mode_flux,
     radial_momentum_density,
 )
-from adskg.specfun import radial_basis, radial_basis_deriv
+from adskg.specfun import ConvergenceError, radial_basis, radial_basis_deriv
 
 MINK4 = DiagonalMetricPoint((-1.0, 1.0, 1.0, 1.0), {})
 
@@ -160,6 +160,14 @@ class TestModeFlux:
             df = radial_eval_deriv(p, 1.5, 1, channel, 0.7)
             v = mode_flux("ads", p, 1.5, 1, (f, df), rho=0.7)
             assert v.verdict == "standing"
+
+    @pytest.mark.parametrize("f, df", [(complex(math.nan), 1.0), (complex(math.inf, 1.0), 1e300j)])
+    def test_non_finite_flux_raises(self, f, df):
+        # a nan flux has no sign: it must not pass for "incoming"
+        p = AdSParams(3, 4.2)
+        want = r"ads flux at omega = 3000.0, l = 2 is (nan|inf|-inf)$"
+        with pytest.raises(ConvergenceError, match=want):
+            mode_flux("ads", p, 3000.0, 2, (f, df), rho=0.7)
 
     def test_phase_rotation_does_not_change_direction(self):
         # multiplying the mode coefficient by -i leaves the flux invariant

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from adskg import specfun
 from adskg.specfun import (
     ConvergenceError,
     PoleError,
@@ -192,6 +193,23 @@ class TestHyp2F1:
     def test_domain_rejected(self):
         with pytest.raises(ValueError):
             hyp2f1(1.0, 1.0, 2.0, 0.97)
+
+    @pytest.mark.parametrize(
+        "c, want", [(-math.inf, 1.0), (math.inf, 1.0), (math.nan, "10000-term cap")]
+    )
+    def test_non_finite_c_same_outcome_for_floats_and_arrays(self, c, want):
+        # _near_pole calls no infinite or nan c a pole, for floats and arrays alike
+        try:
+            scalar = hyp2f1(1.0, 1.0, c, 0.5)
+        except ConvergenceError as exc:
+            scalar = exc
+        values, faults = specfun._hyp2f1_grid(np.ones(1), np.ones(1), np.array([c]), 0.5)
+        if isinstance(want, str):
+            assert want in str(scalar)
+            assert (type(faults[0]), str(faults[0])) == (type(scalar), str(scalar))
+        else:
+            assert not faults
+            assert (scalar, values[0].item()) == (want, want)
 
     def test_against_mpmath_near_domain_edge(self):
         mp = pytest.importorskip("mpmath")
