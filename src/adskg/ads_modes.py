@@ -21,7 +21,16 @@ import numpy as np
 
 from ._jsonio import encode_array, read_records, records
 from .harmonics import MultiIndex, all_indices
-from .specfun import PoleError, _dz_series, _hyp2f1_grid, _near_pole, hyp2f1, hyp2f1_dz
+from .specfun import (
+    _ARRAY,
+    _FLOAT,
+    PoleError,
+    _dz_series,
+    _hyp2f1_grid,
+    _near_pole,
+    hyp2f1,
+    hyp2f1_dz,
+)
 
 __all__ = [
     "AdSParams",
@@ -113,15 +122,15 @@ def _check_rho(rho):
     return z
 
 
-def _channel(p, omega, l, channel):
-    """Sin exponent, 2F1 parameters (a, b, c) and pole flags of c of a channel: floats, or
-    arrays for arrays omega and l.  Channel a's c = l + d/2 is never a pole; channel b's
-    c = 2 - l - d/2 is one for even d."""
+def _channel(p, omega, l, channel, ops):
+    """Sin exponent, 2F1 parameters (a, b, c) and pole flags of c of a channel: floats
+    (ops _FLOAT), or arrays for arrays omega and l (_ARRAY).  Channel a's c = l + d/2 is
+    never a pole; channel b's c = 2 - l - d/2 is one for even d."""
     aa, ba, ab, bb, gamma = _channel_params(p, omega, l)
     if channel == "a":
         return l, (aa, ba, gamma), False
     if channel == "b":
-        return 2.0 - p.d - l, (ab, bb, 2.0 - gamma), _near_pole(2.0 - gamma)
+        return 2.0 - p.d - l, (ab, bb, 2.0 - gamma), _near_pole(2.0 - gamma, ops)
     raise ValueError(f"unknown channel {channel!r}")
 
 
@@ -135,7 +144,7 @@ def _point_channel(p, omega, l, channel, rho):
     """sin^2 rho, the sin exponent and (a, b, c) of a channel at one point;
     raises what radial_eval raises."""
     z = _check_rho(rho)
-    exp_sin, params, pole = _channel(p, omega, l, channel)
+    exp_sin, params, pole = _channel(p, omega, l, channel, _FLOAT)
     if pole:
         raise _channel_pole(p, params[2])
     return z, exp_sin, params
@@ -195,7 +204,7 @@ def _channel_grid(p, omega, l, rho):
     omega, l = np.asarray(omega, dtype=float), np.asarray(l)
     faults, out = {}, []
     for channel, name in enumerate("ab"):
-        exp_sin, (a, b, c), pole = _channel(p, omega, l, name)
+        exp_sin, (a, b, c), pole = _channel(p, omega, l, name, _ARRAY)
         pole = np.broadcast_to(pole, l.shape)
         for i in np.flatnonzero(pole).tolist():
             faults.setdefault(i, []).append((0, channel, _channel_pole(p, c.item(i))))

@@ -240,16 +240,38 @@ def killing_residual(sig, field):
     return out
 
 
+def _add_transport(acc, v, f, sign):
+    """Add sign * V^P d_P f into acc, a {monomial: Fraction} dict.
+
+    Only nonzero components V^P and monomials of f with a positive
+    exponent in x_P contribute; each term carries that exponent.
+    """
+    for p_idx, vp in enumerate(v.components):
+        if not vp.coeffs:
+            continue
+        for mono, c in f.coeffs.items():
+            e = mono[p_idx]
+            if not e:
+                continue
+            lowered = mono[:p_idx] + (e - 1,) + mono[p_idx + 1 :]
+            c = c * (sign * e)
+            for mv, cv in vp.coeffs.items():
+                key = tuple(a + b for a, b in zip(lowered, mv))
+                acc[key] = acc.get(key, 0) + cv * c
+
+
 def lie_bracket(v, w):
-    """[V, W]^Q = V^P d_P W^Q - W^P d_P V^Q, exact."""
-    n = v.n
+    """[V, W]^Q = V^P d_P W^Q - W^P d_P V^Q, exact.
+
+    Each component's terms are summed straight into one coefficient dict
+    and turned into a Polynomial once.
+    """
     comps = []
-    for q in range(n):
-        acc = Polynomial(n)
-        for p_idx in range(n):
-            acc = acc + v.components[p_idx] * w.components[q].diff(p_idx)
-            acc = acc - w.components[p_idx] * v.components[q].diff(p_idx)
-        comps.append(acc)
+    for vq, wq in zip(v.components, w.components):
+        acc = {}
+        _add_transport(acc, v, wq, 1)
+        _add_transport(acc, w, vq, -1)
+        comps.append(Polynomial(v.n, acc))
     return PolyVectorField(comps)
 
 

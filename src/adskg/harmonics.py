@@ -7,14 +7,16 @@ factor real except e^{i m phi} (Legendre without Condon-Shortley, via
 |m|), so that conj(Y^m) = Y^{-m} holds exactly.
 
 Rotations act through Wigner blocks: on the two-sphere the blocks come
-from the explicit small-d factorial sum composed with ZYZ phase factors,
-in general dimension from sphere quadrature of rotated harmonics.  The
-coefficient rule is c' = D c, paired with the point map by the matrix
-returned from rotation_matrix_zyz (rotating frames, so the inverse of
-the corresponding active rotation).
+from the small-d matrix, exp(-i beta J_y) through the exact eigenbasis
+of J_y, composed with ZYZ phase factors; in general dimension from
+sphere quadrature of rotated harmonics, by default at the lowest order
+that is exact for them.  The coefficient rule is c' = D c, paired with
+the point map by the matrix returned from rotation_matrix_zyz (rotating
+frames, so the inverse of the corresponding active rotation).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -467,41 +469,23 @@ def rotation_matrix_zyz(a1, a2, a3):
 
 
 def wigner_small_d(l, beta):
-    """Small d-matrix d^l_{m'm}(beta) by the explicit factorial sum.
+    """Small d-matrix d^l_{m'm}(beta) = <l m'| exp(-i beta J_y) |l m>.
 
-    Indices run m', m = -l..l; the sum limits keep every factorial
-    argument nonnegative.
+    Indices run m', m = -l..l.  J_y is tridiagonal in the J_z basis,
+    <m+1| J_y |m> = sqrt((l-m)(l+m+1)) / 2i; its eigenvalues, the
+    integers -l..l, are taken exact from eigh and its eigenvectors V
+    give d = V diag(e^{-i beta lambda}) V^H (Feng, Wang, Yang & Jin,
+    Phys. Rev. E 92, 043307 (2015)).  The eigenvector phases cancel in
+    this product, so it is the textbook matrix of the factorial sum,
+    Condon-Shortley signs included, unitary to rounding at any l.
     """
-    if l < 0:
-        raise ValueError("wigner_small_d requires l >= 0")
-    size = 2 * l + 1
-    out = np.zeros((size, size))
-    half = 0.5 * beta
-    sb, cb = math.sin(half), math.cos(half)
-    for i, mp in enumerate(range(-l, l + 1)):
-        for j, m in enumerate(range(-l, l + 1)):
-            pref = math.sqrt(
-                math.factorial(l + mp)
-                * math.factorial(l - mp)
-                * math.factorial(l + m)
-                * math.factorial(l - m)
-            )
-            tot = 0.0
-            for s in range(max(0, m - mp), min(l + m, l - mp) + 1):
-                num = (
-                    (-1.0) ** (s + mp - m)
-                    * sb ** (2 * s + mp - m)
-                    * cb ** (2 * l - 2 * s - mp + m)
-                )
-                den = (
-                    math.factorial(s)
-                    * math.factorial(s + mp - m)
-                    * math.factorial(l - mp - s)
-                    * math.factorial(l + m - s)
-                )
-                tot += num / den
-            out[i, j] = pref * tot
-    return out
+    if not isinstance(l, numbers.Integral) or l < 0:
+        raise ValueError(f"wigner_small_d requires an integer l >= 0, got {l!r}")
+    m = np.arange(-l, l)
+    half = 0.5j * np.sqrt((l - m) * (l + m + 1.0))
+    jy = np.diag(half, 1) - np.diag(half, -1)
+    lam, vecs = np.linalg.eigh(jy)
+    return ((vecs * np.exp(-1j * beta * np.rint(lam))) @ vecs.conj().T).real
 
 
 def _phase_sign(m):
@@ -514,7 +498,7 @@ def wigner_block_euler(l, a1, a2, a3):
 
     D_{m'm} = e^{-i m' a1} s(m') s(m) d^l_{m'm}(a2) e^{-i m a3}, where the
     sign factors s carry the conversion between the Condon-Shortley
-    convention of the small-d sum and the all-real-factor harmonics used
+    convention of the small-d matrix and the all-real-factor harmonics used
     here (conj(Y^m) = Y^{-m}).
     """
     d_mat = wigner_small_d(l, a2)
@@ -525,17 +509,22 @@ def wigner_block_euler(l, a1, a2, a3):
     return (ph1 * signs)[:, None] * d_mat * (ph3 * signs)[None, :]
 
 
-def wigner_block_quadrature(d, l, rot, order=24):
+def wigner_block_quadrature(d, l, rot, order=None):
     """Wigner block from sphere quadrature of rotated harmonics.
 
     D_{L L'} = int dOmega conj(Y_L(rot Omega)) Y_L'(Omega) over the
     multi_indices(d, l) label order.  Paired with c' = D c, the
     coefficients track the point map given by the transpose (= inverse)
-    of rot.  The reference rows and weights are harmonic_grid_matrix's,
-    whose points are sphere_quadrature's in the same order; only the
-    rotated rows are evaluated pointwise.
+    of rot.  The integrand is a polynomial of degree 2l on the sphere, so
+    the default order max(4, l + 1) integrates it exactly (Gaussian axes
+    exact to degree 2 order - 1, 2 order trapezoid points in phi); a
+    larger order only adds points.  The reference rows and weights are
+    harmonic_grid_matrix's, whose points are sphere_quadrature's in the
+    same order; only the rotated rows are evaluated pointwise.
     """
     labels = multi_indices(d, l)
+    if order is None:
+        order = max(4, l + 1)
     angles, _ = sphere_quadrature(d, order)
     rotated = to_angles(to_cartesian(angles) @ np.asarray(rot, dtype=float).T)
     # rows are written in place: at d = 5, order 24 each one holds 663k points

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from adskg import geometry
 from adskg.geometry import (
     Polynomial,
     PolyVectorField,
@@ -99,7 +100,90 @@ class TestLieBracket:
                 ).is_zero()
 
 
+def random_field(rng, n, degree=3):
+    """A nonlinear polynomial vector field with Fraction coefficients, some zero components."""
+    comps = []
+    for _ in range(n):
+        coeffs = {}
+        for _ in range(int(rng.integers(0, 5))):
+            mono = [0] * n
+            for axis in rng.integers(0, n, size=int(rng.integers(0, degree + 1))):
+                mono[axis] += 1
+            num, den = int(rng.integers(-7, 8)), int(rng.integers(1, 6))
+            coeffs[tuple(mono)] = Fraction(num, den)
+        comps.append(Polynomial(n, coeffs))
+    return PolyVectorField(comps)
+
+
+def textbook_bracket(v, w):
+    """[V, W]^Q = sum_P V^P d_P W^Q - W^P d_P V^Q in public Polynomial arithmetic."""
+    n = v.n
+    comps = []
+    for q in range(n):
+        acc = Polynomial(n)
+        for p in range(n):
+            acc = acc + v.components[p] * w.components[q].diff(p)
+            acc = acc - w.components[p] * v.components[q].diff(p)
+        comps.append(acc)
+    return PolyVectorField(comps)
+
+
+class TestLieBracketExact:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_equals_textbook_formula(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(25):
+            v, w = random_field(rng, n), random_field(rng, n)
+            got = lie_bracket(v, w)
+            assert got == textbook_bracket(v, w)
+            assert all(type(c) is Fraction for p in got.components for c in p.coeffs.values())
+
+    def test_non_integer_coefficients_survive(self):
+        n = 2
+        x, y = Polynomial.variable(n, 0), Polynomial.variable(n, 1)
+        v = PolyVectorField([x * x * Fraction(1, 3), Polynomial(n)])
+        w = PolyVectorField([Polynomial(n), y * x * Fraction(5, 7)])
+        # [V, W]^1 = V^0 d_0 W^1 = x^2/3 * 5y/7; [V, W]^0 = -W^1 d_1 V^0 = 0
+        want = PolyVectorField([Polynomial(n), x * x * y * Fraction(5, 21)])
+        assert lie_bracket(v, w) == want
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_antisymmetry_and_jacobi(self, n):
+        rng = np.random.default_rng(200 + n)
+        for _ in range(6):
+            u, v, w = (random_field(rng, n, degree=2) for _ in range(3))
+            assert lie_bracket(v, w) == lie_bracket(w, v) * -1
+            jacobi = (
+                lie_bracket(u, lie_bracket(v, w))
+                + lie_bracket(v, lie_bracket(w, u))
+                + lie_bracket(w, lie_bracket(u, v))
+            )
+            assert jacobi.is_zero()
+
+    def test_perturbed_killing_field_reported(self, monkeypatch):
+        sig = Signature(1, 3)
+        exact = geometry.killing_field
+        half_x0 = Polynomial.variable(4, 0) * Fraction(1, 2)
+        bump = PolyVectorField([Polynomial(4), Polynomial(4), Polynomial(4), half_x0])
+
+        def perturbed(sig, a, b):
+            field = exact(sig, a, b)
+            return field + bump if (a, b) == (1, 2) else field
+
+        monkeypatch.setattr(geometry, "killing_field", perturbed)
+        rep = structure_check(sig)
+        assert not rep.ok
+        assert ("KK", (1, 2), (0, 3)) in rep.mismatches
+        assert ("TK", 0, (1, 2)) in rep.mismatches
+        assert not any(kind == "TT" for kind, *_ in rep.mismatches)
+
+
 class TestStructure:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_signature_up_to_8(self, n):
+        for p in range(n + 1):
+            assert structure_check(Signature(p, n - p)).ok, (p, n - p)
+
     def test_poincare_1_3(self):
         rep = structure_check(Signature(1, 3))
         assert rep.ok

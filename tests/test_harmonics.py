@@ -303,6 +303,82 @@ class TestWigner:
             rotate_coeffs(3, 2, np.eye(3), np.zeros(3, dtype=complex))
 
 
+def small_d_factorial_sum(mp, l, mp_, m, beta):
+    """The textbook factorial sum for d^l_{m'm}(beta) in mpmath arithmetic."""
+    half = mp.mpf(beta) / 2
+    sb, cb = mp.sin(half), mp.cos(half)
+    f = mp.factorial
+    tot = mp.mpf(0)
+    for s in range(max(0, m - mp_), min(l + m, l - mp_) + 1):
+        num = (-1) ** (s + mp_ - m) * sb ** (2 * s + mp_ - m) * cb ** (2 * l - 2 * s - mp_ + m)
+        tot += num / (f(s) * f(s + mp_ - m) * f(l - mp_ - s) * f(l + m - s))
+    return mp.sqrt(f(l + mp_) * f(l - mp_) * f(l + m) * f(l - m)) * tot
+
+
+class TestWignerEigenbasis:
+    # wigner_small_d is exp(-i beta J_y) from the eigenbasis of J_y: the
+    # factorial sum at high precision, and the group properties, are its oracles
+
+    @pytest.mark.parametrize("l", [0, 1, 7, 29, 45, 60, 100])
+    def test_against_mpmath_factorial_sum(self, l):
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(1000 + l)
+        for beta in rng.uniform(0.0, math.pi, size=2):
+            d = wigner_small_d(l, beta)
+            picks = [(l, l), (-l, l), (0, 0)]
+            picks += [tuple(rng.integers(-l, l + 1, size=2)) for _ in range(8)]
+            with mp.workdps(40 + l):
+                for mp_, m in picks:
+                    want = float(small_d_factorial_sum(mp, l, int(mp_), int(m), beta))
+                    assert abs(d[mp_ + l, m + l] - want) <= 1e-13, (l, mp_, m, beta)
+
+    def test_unitary_through_l_100(self):
+        rng = np.random.default_rng(7)
+        for l in range(101):
+            d = wigner_small_d(l, rng.uniform(0.0, 2.0 * math.pi))
+            assert np.abs(d @ d.T - np.eye(2 * l + 1)).max() <= 1e-13, l
+
+    @pytest.mark.parametrize("l", [1, 5, 17, 40])
+    def test_index_symmetries(self, l):
+        # d_{m'm} = (-1)^(m - m') d_{mm'} = d_{-m,-m'}
+        d = wigner_small_d(l, 2.1)
+        ms = np.arange(-l, l + 1)
+        sign = (-1.0) ** (ms[None, :] - ms[:, None])
+        assert np.abs(d - sign * d.T).max() <= 1e-13
+        assert np.abs(d - d[::-1, ::-1].T).max() <= 1e-13
+
+    @pytest.mark.parametrize("l", [3, 20, 60])
+    def test_composition(self, l):
+        b1, b2 = 0.83, 1.91
+        both = wigner_small_d(l, b1 + b2)
+        assert np.abs(wigner_small_d(l, b1) @ wigner_small_d(l, b2) - both).max() <= 1e-13
+
+    @pytest.mark.parametrize("l", [0, 1, 4, 33])
+    def test_at_pi(self, l):
+        # d^l_{m'm}(pi) = (-1)^(l - m) delta_{m',-m}
+        ms = np.arange(-l, l + 1)
+        want = np.zeros((2 * l + 1, 2 * l + 1))
+        want[ms[::-1] + l, ms + l] = (-1.0) ** (l - ms)
+        assert np.abs(wigner_small_d(l, math.pi) - want).max() <= 1e-13
+
+    def test_default_order_quadrature_matches_euler(self):
+        a = (2.2, 1.3, -0.6)
+        rot = rotation_matrix_zyz(*a)
+        for l in range(9):
+            dq = wigner_block_quadrature(3, l, rot.T)
+            assert np.abs(dq - wigner_block_euler(l, *a)).max() <= 1e-12, l
+
+    @pytest.mark.parametrize("l", [2.5, 2.0, -1, "3", None])
+    def test_bad_l_rejected(self, l):
+        with pytest.raises(ValueError):
+            wigner_small_d(l, 0.4)
+        with pytest.raises(ValueError):
+            wigner_block_euler(l, 0.1, 0.4, 0.2)
+
+    def test_numpy_integer_l_accepted(self):
+        assert wigner_small_d(np.int64(2), 0.4).shape == (5, 5)
+
+
 def laplace_beltrami_fd(d, L, angles, h=1e-3):
     """Sphere Laplacian by nested finite differences.
 

@@ -44,6 +44,20 @@ class TestGamma:
         with pytest.raises(PoleError):
             log_gamma_signed(-2.0).value()
 
+    def test_pole_rule_same_for_floats_and_arrays(self):
+        # one _near_pole rule: round for floats, np.rint for arrays, half to even
+        # alike; no infinite or nan x is a pole, and a float raises no warning
+        rng = np.random.default_rng(12)
+        offsets = rng.choice([0.0, 1e-9, -1e-9, 9e-10, 1.1e-9], size=300)
+        near = rng.integers(-40, 3, size=300) + offsets
+        xs = [math.inf, -math.inf, math.nan, 0.0, -0.0, 0.5, -0.5, -2.5, 1e300, -1e300]
+        xs += near.tolist() + rng.uniform(-40.0, 3.0, size=300).tolist()
+        with np.errstate(invalid="ignore"):
+            arrays = specfun._near_pole(np.array(xs), specfun._ARRAY).tolist()
+        floats = [bool(specfun._near_pole(x, specfun._FLOAT)) for x in xs]
+        assert floats == arrays
+        assert floats[:10] == [False, False, False, True, True, False, False, False, False, True]
+
     def test_against_stdlib_lgamma(self):
         # independent oracle across the working range
         rng = np.random.default_rng(11)
