@@ -1,15 +1,18 @@
 """Command-line front end: invariant audits, sweeps, tables.
 
 Subcommands: selfcheck, harmonics-table, jfactor-audit, candidate-sweep,
-flux-classify.  Options may come from flags or a flat key=value config
-file (flags win).  Exit codes: 0 ok, 1 invariant failure, 2 config
-error, 3 numeric pole or overflow.
+flux-classify, each taking --config and the OPTIONS it reads (SUBCOMMANDS).
+Options may come from flags or a flat key=value config file (flags win).
+Exit codes: 0 ok, 1 invariant failure, 2 usage or config error, 3 numeric
+pole or overflow.
 """
 
 import argparse
+import functools
 import math
 import sys
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,43 +96,70 @@ def load_config(path):
     return values
 
 
-_CONFIG_TYPES = {
-    "d": int,
-    "delta": float,
-    "radius": float,
-    "omega": str,
-    "lmax": int,
-    "format": str,
-    "out": str,
-    "quadrature_order": int,
-    "tolerance": float,
-    "table": str,
-    "preset": str,
-    "jfactors": str,
-    "modes": str,
+class Option(NamedTuple):
+    """Option ``name``: flag ``--name`` (underscores as dashes), config key ``name``."""
+
+    type: type = str
+    default: object = None
+    help: str = None
+    choices: tuple = None
+    nargs: str = None
+    low: int = None  # the least value; a smaller one is a config error
+
+
+OPTIONS = {
+    "config": Option(help="flat key=value defaults file"),
+    "d": Option(int, 3, "spatial dimension"),
+    "delta": Option(float, 4.2, "conformal weight"),
+    "radius": Option(float, 1.0, "curvature radius"),
+    "omega": Option(str, "0:3:0.5", "frequency grid start:stop:step"),
+    "lmax": Option(int, 3, "largest angular momentum", low=0),
+    "candidates": Option(int, None, "candidate indices (subset of 1..4)", nargs="*"),
+    "format": Option(str, "csv", choices=("csv", "json")),
+    "out": Option(help="output file (default stdout)"),
+    "quadrature_order": Option(int, 24, "Gauss order per angle", low=4),
+    "tolerance": Option(float, 1e-10, "largest accepted residual"),
+    "table": Option(str, "values", choices=("values", "ladder")),
+    "preset": Option(str, "candidate", choices=("candidate", "diagonal")),
+    "jfactors": Option(help="JFactors JSON file to audit"),
+    "modes": Option(help="ModeVector JSON to score with g_rho"),
 }
 
 
-def apply_config(args, config, explicit):
-    """Overlay config-file values; explicitly passed flags win."""
-    for key, val in config.items():
-        if key == "candidates":
-            val = [int(v) for v in val.replace(",", " ").split()]
-        elif key in _CONFIG_TYPES:
-            val = _CONFIG_TYPES[key](val)
-        else:
+def _config_settings(config, names):
+    """The config values of the options in names, converted by their types."""
+    settings = {}
+    for key, text in config.items():
+        if key not in OPTIONS:
             raise ValueError(f"unknown config key {key!r}")
-        if not hasattr(args, key):
+        if key not in names:
             raise ValueError(f"config key {key!r} does not apply to this subcommand")
-        if key in explicit:
-            continue
-        setattr(args, key, val)
+        opt = OPTIONS[key]
+        try:
+            split = text.replace(",", " ").split()
+            settings[key] = [opt.type(v) for v in split] if opt.nargs else opt.type(text)
+        except ValueError:
+            kind = opt.type.__name__
+            raise ValueError(f"config key {key!r} needs {kind} values, got {text!r}") from None
+    return settings
+
+
+def _check_settings(settings):
+    """Raise ValueError for a value outside its option's choices or below its least value."""
+    for key, value in settings.items():
+        opt, flag = OPTIONS[key], "--" + key.replace("_", "-")
+        if opt.choices and value not in opt.choices:
+            raise ValueError(f"{flag} must be one of {', '.join(opt.choices)}, got {value!r}")
+        if opt.low is not None and value < opt.low:
+            raise ValueError(f"{flag} must be >= {opt.low}")
+    if any(c not in (1, 2, 3, 4) for c in settings.get("candidates") or ()):
+        raise ValueError("candidate indices must lie in 1..4")
 
 
 # ---------------------------------------------------------------- selfcheck
 
 
-def _selfcheck_suite(order=24):
+def _selfcheck_suite(order):
     rng = np.random.default_rng(2024)
 
     def gamma_recurrence():
@@ -406,7 +436,7 @@ def _sweep_points(omegas, lmax):
 
 
 def cmd_candidate_sweep(args):
-    p = ads_modes.AdSParams(args.d, args.delta, args.radius)
+    p = ads_modes.AdSParams(args.d, args.delta)
     omegas, ls = _sweep_points(parse_omega_range(args.omega), args.lmax)
     which_list = args.candidates or [1, 2, 3, 4]
     header = ["candidate", "omega", "l", "jab", "sign_jab", "res_minus", "res_plus"]
@@ -472,95 +502,59 @@ def cmd_flux_classify(args):
 # ----------------------------------------------------------------- interface
 
 
-_DEFAULTS = {
-    "config": None,
-    "d": 3,
-    "delta": 4.2,
-    "radius": 1.0,
-    "omega": "0:3:0.5",
-    "lmax": 3,
-    "candidates": None,
-    "format": "csv",
-    "out": None,
-    "quadrature_order": 24,
-    "tolerance": 1e-10,
+SUBCOMMANDS = {
+    command: (handler, reads.split())
+    for command, handler, reads in [
+        ("selfcheck", cmd_selfcheck, "quadrature_order"),
+        ("harmonics-table", cmd_harmonics_table, "d lmax format out table"),
+        (
+            "jfactor-audit",
+            cmd_jfactor_audit,
+            "d delta radius omega lmax candidates format out tolerance preset jfactors modes",
+        ),
+        (
+            "candidate-sweep",
+            cmd_candidate_sweep,
+            "d delta omega lmax candidates format out tolerance",
+        ),
+        ("flux-classify", cmd_flux_classify, "d delta radius omega lmax format out"),
+    ]
 }
 
 
-def build_parser(suppress_defaults=False):
-    def dflt(key):
-        return argparse.SUPPRESS if suppress_defaults else _DEFAULTS[key]
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=dflt("config"), help="flat key=value defaults file")
-    common.add_argument("--d", type=int, default=dflt("d"), help="spatial dimension")
-    common.add_argument("--delta", type=float, default=dflt("delta"), help="conformal weight")
-    common.add_argument("--radius", type=float, default=dflt("radius"), help="curvature radius")
-    common.add_argument(
-        "--omega", default=dflt("omega"), help="frequency grid start:stop:step"
-    )
-    common.add_argument("--lmax", type=int, default=dflt("lmax"), help="largest angular momentum")
-    common.add_argument(
-        "--candidates",
-        type=int,
-        nargs="*",
-        default=dflt("candidates"),
-        help="candidate indices (subset of 1..4)",
-    )
-    common.add_argument("--format", choices=("csv", "json"), default=dflt("format"))
-    common.add_argument("--out", default=dflt("out"), help="output file (default stdout)")
-    common.add_argument(
-        "--quadrature-order",
-        type=int,
-        default=dflt("quadrature_order"),
-        dest="quadrature_order",
-    )
-    common.add_argument("--tolerance", type=float, default=dflt("tolerance"))
-
+@functools.cache
+def build_parser():
+    """Each subcommand takes --config and the options it reads, none with a parser default."""
     parser = argparse.ArgumentParser(
         prog="adskg",
         description="Mode-space audits for Klein-Gordon theory on hypercylinders",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("selfcheck", parents=[common]).set_defaults(func=cmd_selfcheck)
-    tab = sub.add_parser("harmonics-table", parents=[common])
-    tab.add_argument(
-        "--table",
-        choices=("values", "ladder"),
-        default=argparse.SUPPRESS if suppress_defaults else "values",
-    )
-    tab.set_defaults(func=cmd_harmonics_table)
-    aud = sub.add_parser("jfactor-audit", parents=[common])
-    aud.add_argument(
-        "--preset",
-        choices=("candidate", "diagonal"),
-        default=argparse.SUPPRESS if suppress_defaults else "candidate",
-    )
-    aud.add_argument(
-        "--jfactors",
-        default=argparse.SUPPRESS if suppress_defaults else None,
-        help="JFactors JSON file to audit",
-    )
-    aud.add_argument(
-        "--modes",
-        default=argparse.SUPPRESS if suppress_defaults else None,
-        help="ModeVector JSON to score with g_rho",
-    )
-    aud.set_defaults(func=cmd_jfactor_audit)
-    sub.add_parser("candidate-sweep", parents=[common]).set_defaults(func=cmd_candidate_sweep)
-    sub.add_parser("flux-classify", parents=[common]).set_defaults(func=cmd_flux_classify)
+    for command, (_, names) in SUBCOMMANDS.items():
+        cmd = sub.add_parser(command, argument_default=argparse.SUPPRESS)
+        for name in ["config", *names]:
+            opt = OPTIONS[name]
+            cmd.add_argument(
+                "--" + name.replace("_", "-"),
+                type=opt.type,
+                choices=opt.choices,
+                nargs=opt.nargs,
+                help=opt.help,
+            )
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    explicit = vars(build_parser(suppress_defaults=True).parse_args(argv))
+    flags = vars(build_parser().parse_args(argv))
+    handler, names = SUBCOMMANDS[flags.pop("command")]
     try:
-        if args.config:
-            apply_config(args, load_config(args.config), explicit)
-        if args.candidates and any(c not in (1, 2, 3, 4) for c in args.candidates):
-            raise ValueError("candidate indices must lie in 1..4")
-        return args.func(args)
+        # the defaults, overlaid by the config values, overlaid by the flags given
+        settings = {name: OPTIONS[name].default for name in names}
+        if "config" in flags:
+            settings.update(_config_settings(load_config(flags.pop("config")), names))
+        settings.update(flags)
+        _check_settings(settings)
+        return handler(argparse.Namespace(**settings))
     except (ValueError, OSError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -344,11 +344,6 @@ def structure_check(sig):
     )
 
 
-def _tangential_projector(xi):
-    xi = np.asarray(xi, dtype=float)
-    return np.eye(len(xi)) - np.outer(xi, xi)
-
-
 def minkowski_killing_spherical(kind, j, k, point):
     """Minkowski Killing generators in the (t, r, xi) frame.
 

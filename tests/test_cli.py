@@ -1,12 +1,30 @@
+import argparse
 import csv
 import json
 import math
+import pathlib
+import shlex
 
 import numpy as np
 import pytest
 
 from adskg import cli, specfun
 from adskg.ads_modes import random_real_mode_vector
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+# the options each subcommand reads, besides --config
+READS = {
+    "selfcheck": {"quadrature_order"},
+    "harmonics-table": {"d", "lmax", "format", "out", "table"},
+    "jfactor-audit": {
+        "d", "delta", "radius", "omega", "lmax", "candidates", "format", "out",
+        "tolerance", "preset", "jfactors", "modes",
+    },
+    "candidate-sweep": {"d", "delta", "omega", "lmax", "candidates", "format", "out", "tolerance"},
+    "flux-classify": {"d", "delta", "radius", "omega", "lmax", "format", "out"},
+}
 
 
 class TestHelpers:
@@ -274,6 +292,61 @@ class TestExitCodes:
     def test_missing_config_file(self):
         assert cli.main(["selfcheck", "--config", "/nonexistent.conf"]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["selfcheck", "--quadrature-order", "2"], "--quadrature-order must be >= 4"),
+            (["selfcheck", "--quadrature-order", "0"], "--quadrature-order must be >= 4"),
+            (["harmonics-table", "--lmax", "-1"], "--lmax must be >= 0"),
+            (["flux-classify", "--lmax", "-2"], "--lmax must be >= 0"),
+        ],
+    )
+    def test_bad_value_is_a_config_error(self, argv, message, capsys):
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+    def test_lowest_quadrature_order_passes(self, capsys):
+        assert cli.main(["selfcheck", "--quadrature-order", "4"]) == cli.EXIT_OK
+        assert "13/13 checks passed" in capsys.readouterr().out
+
+
+class TestOptionTable:
+    def test_each_subcommand_takes_the_options_it_reads(self):
+        [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        dests = {
+            name: {a.dest for a in parser._actions if a.dest != "help"}
+            for name, parser in sub.choices.items()
+        }
+        assert dests == {name: reads | {"config"} for name, reads in READS.items()}
+        assert sum(map(len, dests.values())) == 38
+        assert cli.build_parser() is cli.build_parser()  # built once per process
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["flux-classify", "--tolerance", "1e-14"],
+            ["selfcheck", "--delta", "5"],
+            ["candidate-sweep", "--radius", "2"],
+            ["harmonics-table", "--candidates", "1"],
+        ],
+    )
+    def test_unread_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+    def test_readme_commands_run(self, tmp_path, capsys):
+        block = README.read_text().split("## Command line", 1)[1].split("```sh\n", 1)[1]
+        lines = [line for line in block.split("```", 1)[0].splitlines() if line.startswith("adskg ")]
+        assert len(lines) >= 5
+        for line in lines:
+            argv = shlex.split(line)[1:]
+            if "--out" in argv:
+                i = argv.index("--out") + 1
+                argv[i] = str(tmp_path / argv[i])
+            assert cli.main(argv) == cli.EXIT_OK, line
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path):
@@ -293,3 +366,32 @@ class TestConfigFile:
         conf = tmp_path / "run.conf"
         conf.write_text("bogus = 1\n")
         assert cli.main(["selfcheck", "--config", str(conf)]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "command, line, message",
+        [
+            ("selfcheck", "tolerance = 1e-9", "config key 'tolerance' does not apply"),
+            ("flux-classify", "candidates = 1", "config key 'candidates' does not apply"),
+            ("harmonics-table", "lmax = two", "config key 'lmax' needs int values, got 'two'"),
+            ("candidate-sweep", "candidates = 1, x", "config key 'candidates' needs int values"),
+            ("selfcheck", "quadrature-order = 3", "--quadrature-order must be >= 4"),
+            ("harmonics-table", "lmax = -1", "--lmax must be >= 0"),
+            ("harmonics-table", "format = xml", "--format must be one of csv, json, got 'xml'"),
+            ("jfactor-audit", "candidates = 5", "candidate indices must lie in 1..4"),
+        ],
+    )
+    def test_bad_config_value_names_it(self, tmp_path, capsys, command, line, message):
+        conf = tmp_path / "run.conf"
+        conf.write_text(line + "\n")
+        assert cli.main([command, "--config", str(conf)]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: ") and message in err
+
+    def test_config_candidate_list(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("candidates = 1, 2\nomega = 0:1:0.5\nlmax = 1\n")
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["candidate-sweep", "--config", str(conf), "--out", str(out)]) == cli.EXIT_OK
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["candidate"] for row in rows] == ["1"] * 6 + ["2"] * 6
