@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._jsonio import encode_array, read_records, records
-from .ads_modes import _channel_params, _cmul, _find, _ordered_sum, is_real_solution
-from .specfun import _ARRAY, _FLOAT, _gamma_fault
+from .ads_modes import _channel_params, _find, _ordered_sum, is_real_solution
+from .specfun import _ARRAY, _FLOAT, _cmul, _gamma_fault
 
 __all__ = [
     "JFactors",

@@ -25,6 +25,7 @@ from .specfun import (
     _ARRAY,
     _FLOAT,
     PoleError,
+    _cmul,
     _dz_series,
     _hyp2f1_grid,
     _near_pole,
@@ -282,15 +283,6 @@ def _find(sorted_keys, wanted):
         return np.full(wanted.shape, -1)
     pos = np.minimum(np.searchsorted(sorted_keys, wanted), len(sorted_keys) - 1)
     return np.where(sorted_keys[pos] == wanted, pos, -1)
-
-
-def _cmul(x, y):
-    """Complex product from separately rounded real products: the same bits on
-    every CPU, where numpy's complex kernels may fuse multiply-adds."""
-    out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=complex)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out
 
 
 def _ordered_sum(terms):

@@ -11,7 +11,7 @@ import argparse
 import functools
 import math
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -35,12 +35,23 @@ def fmt(x):
     return str(x)
 
 
+def _csv_column(cells):
+    """The fmt strings of a column's cells, formatted as a whole where all of them are
+    Python floats, all ints and bools, or all strings."""
+    kinds = set(map(type, cells))
+    if kinds == {float}:
+        return list(map(format, cells, repeat(".17g")))
+    if kinds <= {int, bool}:
+        return list(map(str, cells))
+    if kinds == {str}:
+        return cells
+    return list(map(fmt, cells))
+
+
 def write_rows(header, rows, out_format, out_path):
     if out_format == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(fmt(v) for v in row))
-        text = "\n".join(lines) + "\n"
+        columns = [_csv_column(cells) for cells in zip(*rows, strict=True)]
+        text = "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
     else:
         # json.dumps([dict(zip(header, row)) ...], indent=1, sort_keys=True):
         # a repeated name keeps its last column
@@ -461,16 +472,81 @@ def cmd_candidate_sweep(args):
 # -------------------------------------------------------------- flux-classify
 
 
+# The rows of a point, in order: all six above the mass shell, the last two below it.
+FLUX_ROWS = (
+    ("minkowski", "h1"),
+    ("minkowski", "j"),
+    ("minkowski", "n"),
+    ("ads", "combined"),
+    ("ads", "channel_a"),
+    ("ads", "channel_b"),
+)
+MINKOWSKI_R, ADS_RHO = 6.0, 0.7
+
+
+def _flux_point(p, w, l, p_r, checked):
+    """The DirectionVerdict of each row of one point by the scalar functions, which raise
+    what the scalar loop meets first there.  p_r is the flat radial momentum above the
+    mass shell and None below it; checked(*channels) gives (S_a, dS_a, S_b, dS_b)."""
+    out = []
+    if p_r is not None:
+        x = p_r * MINKOWSKI_R
+        for kind in ("h1", "j", "n"):
+            f = specfun.radial_basis(kind, l, x)
+            df = p_r * specfun.radial_basis_deriv(kind, l, x)
+            out.append(flux.mode_flux("minkowski", {"d": p.d}, w, l, (f, df), rho=MINKOWSKI_R))
+        fa, dfa, _ = flux._combined_mode(p, w, l, lambda: checked(0, 1))
+        out.append(flux.mode_flux("ads", p, w, l, (fa, dfa), rho=ADS_RHO))
+    for channel in (0, 1):
+        fr, dfr = checked(channel)[2 * channel : 2 * channel + 2]
+        out.append(flux.mode_flux("ads", p, w, l, (fr, dfr), rho=ADS_RHO))
+    return out
+
+
+@np.errstate(all="ignore")
+def _flux_grid(p, omega, l, lmax, p_r, channels):
+    """(flux, verdict) arrays of shape (points, 6) over the FLUX_ROWS of the omega-major
+    sweep points, by the array forms: bit for bit _flux_point, with the verdict None
+    where it raises and at the rows a point below the shell lacks (p_r nan there)."""
+    fluxes = np.full((omega.size, len(FLUX_ROWS)), np.nan)
+    verdicts = np.full(fluxes.shape, None, dtype=object)
+
+    def put(row, at, spacetime, params, radial, rho):
+        v = flux.mode_flux(spacetime, params, omega[at], l[at], radial, rho=rho)
+        fluxes[at, row], verdicts[at, row] = v.flux_per_time, v.verdict
+
+    up = np.flatnonzero(~np.isnan(p_r))
+    if up.size:
+        # the points above the shell are whole omega blocks of l = 0..lmax
+        x = p_r[up][:: lmax + 1] * MINKOWSKI_R
+        for row, (values, derivs) in enumerate(specfun._radial_grid(x, lmax)):
+            radial = values.ravel(), specfun._cmul(p_r[up], derivs.ravel())
+            put(row, up, "minkowski", {"d": p.d}, radial, MINKOWSKI_R)
+        picked = tuple(c[up] for c in channels)
+        fa, dfa, _ = flux._combined_mode(p, omega[up], l[up], lambda: picked)
+        put(3, up, "ads", p, (fa, dfa), ADS_RHO)
+    for channel in (0, 1):
+        put(4 + channel, slice(None), "ads", p, channels[2 * channel : 2 * channel + 2], ADS_RHO)
+    return fluxes, verdicts
+
+
 def cmd_flux_classify(args):
     p = ads_modes.AdSParams(args.d, args.delta, args.radius)
     omegas = [w for w in parse_omega_range(args.omega) if w != 0.0]
     header = ["spacetime", "kind", "omega", "l", "flux_per_time", "verdict"]
-    rows = []
     mass = math.sqrt(abs(p.Delta * (p.Delta - p.d))) / p.R
-    points = _sweep_points(omegas, args.lmax)
-    channels, faults = ads_modes._channel_grid(p, *points, 0.7)
-    values = list(zip(*(c.tolist() for c in channels)))
-    for i, (w, l) in enumerate(zip(*(c.tolist() for c in points))):
+    omega, l = _sweep_points(omegas, args.lmax)
+    channels, faults = ads_modes._channel_grid(p, omega, l, ADS_RHO)
+    with np.errstate(over="ignore"):
+        above = omega * omega > mass * mass
+        p_r = np.sqrt(np.where(above, omega * omega - mass * mass, np.nan))
+    fluxes, verdicts = _flux_grid(p, omega, l, args.lmax, p_r, channels)
+    present = above[:, None] | (np.arange(len(FLUX_ROWS)) >= 4)
+    # points where the array forms met a fault go through the scalar functions, in
+    # point order, so that the first to raise is the one the scalar loop meets first
+    flagged = (present & np.equal(verdicts, None)).any(axis=1)
+    flagged[list(faults)] = True
+    for i in np.flatnonzero(flagged).tolist():
 
         def checked(*wanted):
             """Point i's (S_a, dS_a, S_b, dS_b), raising the failure of the wanted channels
@@ -478,23 +554,16 @@ def cmd_flux_classify(args):
             found = [fault for fault in faults.get(i, ()) if fault[1] in wanted]
             if found:
                 raise min(found)[2]
-            return values[i]
+            return tuple(c[i].item() for c in channels)
 
-        if w * w > mass * mass:
-            p_r = math.sqrt(w * w - mass * mass)
-            r = 6.0
-            for kind in ("h1", "j", "n"):
-                f = specfun.radial_basis(kind, l, p_r * r)
-                df = p_r * specfun.radial_basis_deriv(kind, l, p_r * r)
-                v = flux.mode_flux("minkowski", {"d": args.d}, w, l, (f, df), rho=r)
-                rows.append(["minkowski", kind, w, l, v.flux_per_time, v.verdict])
-            fa, dfa, _ = flux._combined_mode(p, w, l, lambda: checked(0, 1))
-            v = flux.mode_flux("ads", p, w, l, (fa, dfa), rho=0.7)
-            rows.append(["ads", "combined", w, l, v.flux_per_time, v.verdict])
-        for channel, name in enumerate(("a", "b")):
-            fr, dfr = checked(channel)[2 * channel : 2 * channel + 2]
-            v = flux.mode_flux("ads", p, w, l, (fr, dfr), rho=0.7)
-            rows.append(["ads", f"channel_{name}", w, l, v.flux_per_time, v.verdict])
+        w, li = omega[i].item(), l[i].item()
+        point = _flux_point(p, w, li, p_r[i].item() if above[i] else None, checked)
+        at = np.flatnonzero(present[i])
+        fluxes[i, at] = [v.flux_per_time for v in point]
+        verdicts[i, at] = [v.verdict for v in point]
+    points, kinds = np.nonzero(present)
+    columns = (kinds, omega[points], l[points], fluxes[points, kinds], verdicts[points, kinds])
+    rows = [[*FLUX_ROWS[k], w, li, f, v] for k, w, li, f, v in zip(*(c.tolist() for c in columns))]
     write_rows(header, rows, args.format, args.out)
     return EXIT_OK
 

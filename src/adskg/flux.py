@@ -5,6 +5,12 @@ mode is outgoing, incoming, or standing; for single modes it reduces to
 a Wronskian of the radial profile.  The extrema-interlacing classifier
 reads the same direction off sampled real mode pairs without any flux
 integral.
+
+One rule, two drivers: mode_flux's prefactors, Wronskian, non-finite
+fault and standing test, and the combined mode, are stated once for
+floats and for arrays over a grid of (omega, l) points (specfun's _FLOAT
+and _ARRAY operations); the array results match the float ones bit for
+bit, with a None verdict where the float form raises.
 """
 
 import math
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ads_modes import _radial_point
-from .specfun import ConvergenceError, double_factorial
+from .specfun import _ARRAY, _FLOAT, ConvergenceError
 
 __all__ = [
     "DiagonalMetricPoint",
@@ -96,13 +102,6 @@ class DirectionVerdict:
     flux_per_time: float
 
 
-def _wronskian_flux(prefactor, f, df):
-    f = complex(f)
-    df = complex(df)
-    w = f.conjugate() * df - f * df.conjugate()  # anti-Hermitian, purely imaginary
-    return float((prefactor * w).real)
-
-
 def mode_flux(spacetime, p, omega, l, radial, rho=None):
     """Radial momentum flux per unit time of a single frequency mode.
 
@@ -115,26 +114,47 @@ def mode_flux(spacetime, p, omega, l, radial, rho=None):
     Verdict: outgoing / incoming by the flux sign, standing when the
     flux vanishes against the |f||f'| scale.  A flux that is not finite
     has no sign and raises ConvergenceError.
+
+    Over arrays omega and l, with f and df arrays of their shape, it
+    returns arrays: the fluxes, bit for bit those of each point, and the
+    verdicts, None where the point's float form raises (the flux or
+    |f||f'| is not finite).
     """
+    if isinstance(omega, np.ndarray):
+        with np.errstate(all="ignore"):  # faults are nan and inf
+            return _mode_flux(spacetime, p, omega, l, radial, rho, _ARRAY)
+    return _mode_flux(spacetime, p, omega, l, radial, rho, _FLOAT)
+
+
+# the verdict at index 2 standing + (flux > 0)
+_VERDICTS = np.array(["incoming", "outgoing", "standing", "standing"], dtype=object)
+
+
+def _mode_flux(spacetime, p, omega, l, radial, rho, ops):
     f, df = radial
+    mul = ops.mul
     if spacetime == "minkowski":
         d = p["d"] if isinstance(p, dict) else p.d
         if rho is None or rho <= 0:
             raise ValueError("minkowski flux needs the radius r > 0")
-        pref = -1j * omega * rho ** (d - 1)
+        pref = mul(mul(-1j, omega), rho ** (d - 1))
     elif spacetime == "ads":
         if rho is None or rho <= 0:
             raise ValueError("ads flux needs the angle rho > 0")
-        pref = -2j * omega * p.R ** (p.d - 1) * math.tan(rho) ** (p.d - 1)
+        pref = mul(mul(mul(-2j, omega), p.R ** (p.d - 1)), math.tan(rho) ** (p.d - 1))
     else:
         raise ValueError(f"unknown spacetime {spacetime!r}")
-    flux = _wronskian_flux(pref, f, df)
-    if not math.isfinite(flux):
+    cf, cdf = ops.complex(f), ops.complex(df)
+    w = mul(cf.conjugate(), cdf) - mul(cf, cdf.conjugate())  # anti-Hermitian, purely imaginary
+    flux = mul(pref, w).real
+    if ops is _FLOAT and not math.isfinite(flux):
         raise ConvergenceError(f"{spacetime} flux at omega = {omega}, l = {l} is {flux}")
-    scale = abs(omega) * max(abs(f) * abs(df), 1e-300)
-    if abs(flux) <= STANDING_TOL * max(1.0, scale):
-        return DirectionVerdict("standing", flux)
-    return DirectionVerdict("outgoing" if flux > 0 else "incoming", flux)
+    size = ops.abs(f) * ops.abs(df)
+    standing = abs(flux) <= STANDING_TOL * ops.fmax(1.0, abs(omega) * ops.fmax(size, 1e-300))
+    verdict = _VERDICTS[2 * standing + (flux > 0)]
+    if ops is _ARRAY:
+        verdict[~np.isfinite(flux) | np.isnan(size)] = None
+    return DirectionVerdict(verdict, flux)
 
 
 def ads_combined_mode(p, omega, l, rho):
@@ -150,17 +170,27 @@ def ads_combined_mode(p, omega, l, rho):
 
 
 def _combined_mode(p, omega, l, channels):
-    """ads_combined_mode with (S_a, dS_a, S_b, dS_b) from channels(), called once p_r is known."""
+    """ads_combined_mode with (S_a, dS_a, S_b, dS_b) from channels(), called once p_r is known.
+
+    Over arrays omega and l (ints), with channels() giving arrays, f and df are
+    arrays, nan or inf where the float form raises.
+    """
+    if isinstance(omega, np.ndarray):
+        with np.errstate(all="ignore"):  # faults are nan and inf
+            return _combined(p, omega, l, channels, _ARRAY)
+    return _combined(p, omega, l, channels, _FLOAT)
+
+
+def _combined(p, omega, l, channels, ops):
     m_sq = p.Delta * (p.Delta - p.d) / (p.R * p.R)
-    p_r = math.sqrt(abs(omega * omega - m_sq))
-    if p_r == 0.0:
+    p_r = ops.sqrt(abs(omega * omega - m_sq))
+    if ops is _FLOAT and p_r == 0.0:
         raise ValueError("combined mode needs omega^2 distinct from the mass squared")
-    f_a = p_r**l / double_factorial(2 * l + p.d - 2)
-    f_b = double_factorial(2 * l + p.d - 4) / p_r ** (l + 1)
+    f_a = ops.pow(p_r, l) / ops.double_factorial(2 * l + p.d - 2)
+    f_b = ops.double_factorial(2 * l + p.d - 4) / ops.pow(p_r, l + 1)
     sa, dsa, sb, dsb = channels()
-    f = f_a * sa + 1j * f_b * -sb
-    df = f_a * dsa + 1j * f_b * -dsb
-    return f, df, p_r
+    i_f_b = ops.mul(1j, f_b)
+    return f_a * sa + ops.mul(i_f_b, -sb), f_a * dsa + ops.mul(i_f_b, -dsb), p_r
 
 
 def _parabolic_peak(xs, ys, i):

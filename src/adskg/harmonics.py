@@ -263,6 +263,8 @@ def ladder_coeffs(d, l, l_sub):
 
     For d = 3 the role of l_sub is played by |m|.
     """
+    if d < 3:
+        raise ValueError(f"ladder_coeffs requires d >= 3, got d = {d}")
     if not 0 <= l_sub <= l:
         raise ValueError("ladder_coeffs requires 0 <= l_sub <= l")
     if l == l_sub:

@@ -7,15 +7,21 @@ j_l, n_l, h1_l, h2_l together with their evanescent (imaginary-argument)
 companions.  Formula references are to DLMF chapter 10 and
 Abramowitz & Stegun chapters 8 and 22.
 
-Signed-log Gamma and the 2F1 series state each rule once for floats and
-float arrays, with an elementwise-operations table (_FLOAT or _ARRAY).  A
-public float function and a private array form run it, both with libm's
-log, sin and exp per element, so the two agree bit for bit.
+One rule, two drivers: signed-log Gamma, the 2F1 series, the Hankel sums
+S^o_l and S^e_l, the exact l pi/2 phase shift, S^+-_l and the j_l and n_l
+power series are each stated once for floats and float arrays, with an
+elementwise-operations table (_FLOAT or _ARRAY).  A public float function
+and a private array form run each rule, both with libm's log, sin, cos,
+exp and pow per element and with complex products from separately
+rounded real products, so the two agree bit for bit; where a float form
+raises, its array form carries nan (or inf).  _radial_grid gives h1, j, n
+and their ladder derivatives over a whole (x, l) grid.
 """
 
 import math
 import cmath
 import functools
+import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -57,13 +63,29 @@ def _round_finite(x):
     return round(x) if math.isfinite(x) else math.nan
 
 
-def _libm(fn, x):
-    """fn of the math module applied per element of a float array.
+def _libm(fn, x, *args):
+    """fn of Python numbers per element of an array x, with further arguments (arrays or
+    scalars) broadcast against it: a float array, nan where fn raises.
 
-    numpy's vectorised log, exp and sin may differ from libm in the last
-    bits; the array forms use libm so that they match the float forms.
+    numpy's vectorised log, exp, sin, cos, pow and complex abs may differ
+    from libm in the last bits; the array forms use libm so that they match
+    the float forms.  Where a float form raises (a power out of range, the
+    sine of an infinity), its array form carries nan.
     """
-    return np.fromiter(map(fn, x.ravel().tolist()), dtype=float, count=x.size).reshape(x.shape)
+    x, *args = np.broadcast_arrays(x, *args)
+    columns = [a.ravel().tolist() for a in (x, *args)]
+    try:
+        values = np.fromiter(map(fn, *columns), dtype=float, count=x.size)
+    except (OverflowError, ValueError):
+        values = np.array([_nan_where_raises(fn, *v) for v in zip(*columns)], dtype=float)
+    return values.reshape(x.shape)
+
+
+def _nan_where_raises(fn, *args):
+    try:
+        return fn(*args)
+    except (OverflowError, ValueError):
+        return math.nan
 
 
 def _exp_or_inf(x):
@@ -170,26 +192,6 @@ def _log_gamma_grid(x):
     return log_abs, sign, fault
 
 
-# The operations of the shared rules.  For arrays exp gives inf where math.exp overflows
-# and sort orders same-shape arrays per element; fmax(1.0, nan) is 1.0 for both.  round
-# is the nearest integer, half to even, for floats and arrays alike (np.rint takes a
-# numpy ufunc's time, about 1 us, on a float).
-_FLOAT = SimpleNamespace(
-    log=math.log, sin=math.sin, exp=math.exp, fmax=max, any=bool, sort=sorted,
-    log_gamma=_log_gamma_float, round=_round_finite,
-)
-_ARRAY = SimpleNamespace(
-    log=functools.partial(_libm, math.log),
-    sin=functools.partial(_libm, math.sin),
-    exp=functools.partial(_libm, _exp_or_inf),
-    fmax=np.fmax,
-    any=np.any,
-    round=np.rint,
-    sort=lambda side: np.sort(np.array(side, dtype=float), axis=0, kind="stable"),
-    log_gamma=_log_gamma_grid,
-)
-
-
 def gamma_value(x):
     """Gamma(x) as a float; raises PoleError at nonpositive integers."""
     return log_gamma_signed(x).value()
@@ -205,6 +207,63 @@ def double_factorial(n):
         out *= k
         k -= 2
     return out
+
+
+def _double_factorials(n):
+    """double_factorial per element of an int array."""
+    values, at = np.unique(n, return_inverse=True)
+    return np.array([double_factorial(k) for k in values.tolist()])[at].reshape(np.shape(n))
+
+
+def _cmul(x, y):
+    """Complex product from separately rounded real products: the same bits on
+    every CPU, where numpy's complex kernels may fuse multiply-adds.  A real
+    factor counts as (x, 0.0), as CPython's complex arithmetic takes it."""
+    out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _complex(re, im=0.0):
+    """complex(re, im) per element, the parts as given (re + 1j * im can change the
+    sign of a zero); a complex array re is returned as it is."""
+    if np.iscomplexobj(re):
+        return re
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+# The operations of the shared rules.  For arrays exp gives inf where math.exp overflows
+# and sort orders same-shape arrays per element; fmax(1.0, nan) is 1.0 for both.  round
+# is the nearest integer, half to even, for floats and arrays alike (np.rint takes a
+# numpy ufunc's time, about 1 us, on a float).  For arrays pow and abs give nan where the
+# float operation raises; mul is the complex product (a real factor counts as (x, 0.0)).
+_FLOAT = SimpleNamespace(
+    log=math.log, sin=math.sin, exp=math.exp, pow=operator.pow, abs=abs,
+    sqrt=math.sqrt, fmax=max, any=bool, sort=sorted, where=lambda c, a, b: a if c else b,
+    mul=operator.mul, complex=complex, double_factorial=double_factorial,
+    log_gamma=_log_gamma_float, round=_round_finite,
+)
+_ARRAY = SimpleNamespace(
+    log=functools.partial(_libm, math.log),
+    sin=functools.partial(_libm, math.sin),
+    cos=functools.partial(_libm, math.cos),
+    exp=functools.partial(_libm, _exp_or_inf),
+    pow=functools.partial(_libm, math.pow),
+    abs=functools.partial(_libm, abs),
+    sqrt=np.sqrt,
+    fmax=np.fmax,
+    any=operator.methodcaller("any"),
+    sort=lambda side: np.sort(np.array(side, dtype=float), axis=0, kind="stable"),
+    where=np.where,
+    mul=_cmul,
+    complex=_complex,
+    double_factorial=_double_factorials,
+    round=np.rint,
+    log_gamma=_log_gamma_grid,
+)
 
 
 def a_coeff(k, l):
@@ -375,24 +434,66 @@ def hyp2f1_dz(a, b, c, z):
     return factor * hyp2f1(*shifted, z)
 
 
+def _power_series(term, half_x2, b, floor, ops, retire):
+    """term (1 + r_1 + r_1 r_2 + ...) with r_k = half_x2 / (k (2k + b)), k < 400: the loop
+    of the j and n series, for floats or arrays term and half_x2.
+
+    An element stops after its first term with |term| <= 1e-17 max(floor,
+    |total|); retire(total, done) then keeps the totals of those that stop
+    and gives the mask of the others, or None to end with this total.
+    """
+    total, tail, stops = term, 1e-17 * floor, ops.any
+    for k in range(1, 400):
+        term = term * (half_x2 / (k * (2.0 * k + b)))
+        total = total + term
+        done = (abs(term) <= 1e-17 * abs(total)) | (abs(term) <= tail)
+        # a float's done is a bool, tested without a call until it is True
+        if done is not False and stops(done):
+            keep = retire(total, done)
+            if keep is None:
+                return total
+            term, total, half_x2 = term[keep], total[keep], half_x2[keep]
+    return total
+
+
+def _series_terms(kind, l, x, sign, ops):
+    """(prefactor, first term, sign x^2 / 2, b, floor) of the power series of j_l (kind
+    "j") or n_l ("n"): the prefactor times _power_series of the rest.  sign = +1 gives
+    the evanescent companions i^{-l} j_l(ix) and i^{l+1} n_l(ix), manifestly real."""
+    half_x2 = sign * 0.5 * (x * x)
+    if kind == "j":
+        return ops.pow(x, l), 1.0 / double_factorial(2 * l + 1), half_x2, 2.0 * l + 1.0, 0.0
+    return -double_factorial(2 * l - 1) / ops.pow(x, l + 1), 1.0, half_x2, -2.0 * l - 1.0, 1.0
+
+
+def _series_value(kind, pref, total, ops):
+    """The series value from its prefactor and sum: j_l is 0 where x^l underflows."""
+    if kind == "j":
+        return ops.where(pref == 0.0, 0.0, pref * total)
+    return pref * total
+
+
+def _n_overflows(l, x, ops):
+    """Whether the leading term (2l - 1)!! / x^(l + 1) of the n_l series exceeds e^700."""
+    return math.log(double_factorial(2 * l - 1)) - (l + 1) * ops.log(x) > 700.0
+
+
+def _stop(total, done):
+    return None
+
+
+def _series(kind, l, x, sign):
+    pref, first, half_x2, b, floor = _series_terms(kind, l, x, sign, _FLOAT)
+    return _series_value(kind, pref, _power_series(first, half_x2, b, floor, _FLOAT, _stop), _FLOAT)
+
+
 def _series_j(l, x, sign=-1.0):
     """Power series for j_l, good for small and moderate x.
 
     sign = +1 gives the evanescent companion i^{-l} j_l(ix), a manifestly
     real series.
     """
-    pref = x**l
-    if pref == 0.0:
-        return 0.0
-    term = 1.0 / double_factorial(2 * l + 1)
-    total = term
-    x2 = x * x
-    for k in range(1, 400):
-        term *= sign * 0.5 * x2 / (k * (2.0 * l + 2.0 * k + 1.0))
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            break
-    return pref * total
+    return _series("j", l, x, sign)
 
 
 def _series_n(l, x, sign=-1.0):
@@ -401,49 +502,62 @@ def _series_n(l, x, sign=-1.0):
     sign = +1 gives the evanescent companion i^{l+1} n_l(ix), a manifestly
     real series.
     """
-    if math.log(double_factorial(2 * l - 1)) - (l + 1) * math.log(x) > 700.0:
+    if _n_overflows(l, x, _FLOAT):
         kind = "evanescent n" if sign > 0 else "n"
         raise OverflowError(f"{kind}_{l} overflows at x = {x}")
-    pref = -double_factorial(2 * l - 1) / x ** (l + 1)
-    term = 1.0
-    total = term
-    x2 = x * x
-    for k in range(1, 400):
-        term *= sign * 0.5 * x2 / (k * (2.0 * k - 2.0 * l - 1.0))
-        total += term
-        if abs(term) <= 1e-17 * max(1.0, abs(total)):
-            break
-    return pref * total
+    return _series("n", l, x, sign)
+
+
+def _series_grid(kind, l, x):
+    """_series_j or _series_n at one l over a 1-d float array x, each element summed
+    until its float form stops."""
+    pref, term, half_x2, b, floor = _series_terms(kind, l, x, -1.0, _ARRAY)
+    out = np.empty(x.shape)
+    active = np.arange(x.size)
+
+    def retire(total, done):
+        nonlocal active
+        out[active[done]] = total[done]
+        active = active[~done]
+        return ~done if active.size else None
+
+    total = _power_series(np.full(x.shape, term), half_x2, b, floor, _ARRAY, retire)
+    if active.size:
+        out[active] = total
+    return _series_value(kind, pref, out, _ARRAY)
 
 
 @functools.lru_cache(maxsize=256)
-def _hankel_coeffs(l):
-    """(a_0(l + 1/2), ..., a_l(l + 1/2)), the values a_coeff gives."""
-    return tuple(a_coeff(k, l) for k in range(l + 1))
+def _hankel_terms(l, start):
+    """((-1)^k a_(2k+start)(l + 1/2), 2k + start + 1) over 2k + start <= l (a_coeff)."""
+    return tuple(
+        ((-1.0) ** k * a_coeff(2 * k + start, l), 2 * k + start + 1)
+        for k in range((l - start) // 2 + 1)
+    )
+
+
+def _hankel_sum(l, x, start, ops):
+    """sum_k (-1)^k a_(2k+start)(l + 1/2) / x^(2k+start+1) over 2k + start <= l, at a
+    float or over an array x: S^o_l for start 0, S^e_l for start 1 (DLMF 10.49.2)."""
+    pow_ = ops.pow
+    total = 0.0
+    for coeff, power in _hankel_terms(l, start):
+        total += coeff / pow_(x, power)
+    return total
 
 
 def s_odd(l, x):
     """S^o_l(x): odd-index a_k sum of the trig decomposition (DLMF 10.49.2)."""
-    coeffs = _hankel_coeffs(l)
-    total = 0.0
-    for k in range(l // 2 + 1):
-        total += (-1.0) ** k * coeffs[2 * k] / x ** (2 * k + 1)
-    return total
+    return _hankel_sum(l, x, 0, _FLOAT)
 
 
 def s_even(l, x):
     """S^e_l(x): even companion sum; empty (zero) for l = 0."""
-    coeffs = _hankel_coeffs(l)
-    total = 0.0
-    for k in range((l - 1) // 2 + 1):
-        total += (-1.0) ** k * coeffs[2 * k + 1] / x ** (2 * k + 2)
-    return total
+    return _hankel_sum(l, x, 1, _FLOAT)
 
 
-def phase_shifted_trig(l, x):
-    """(sin(x - l pi/2), cos(x - l pi/2)) with the l pi/2 shift applied exactly."""
-    s = math.sin(x)
-    c = math.cos(x)
+def _phase_shift(l, s, c):
+    """(sin(x - l pi/2), cos(x - l pi/2)) from s = sin x and c = cos x, exactly."""
     r = l % 4
     if r == 0:
         return s, c
@@ -454,6 +568,18 @@ def phase_shifted_trig(l, x):
     return c, -s
 
 
+def phase_shifted_trig(l, x):
+    """(sin(x - l pi/2), cos(x - l pi/2)) with the l pi/2 shift applied exactly."""
+    return _phase_shift(l, math.sin(x), math.cos(x))
+
+
+def _s_plus(l, so, se, kind, ops):
+    """s_plus from S^o_l and S^e_l (floats or arrays)."""
+    if kind == 1:
+        return ops.mul((-1j) ** (l % 4), ops.complex(se, -so))
+    return ops.mul((1j) ** (l % 4), ops.complex(se, so))
+
+
 def s_plus(l, x, kind=1):
     """S^+_l(x) (kind=1) or S^-_l(x) (kind=2) of h_l = e^{+-ix} S^{+-}_l.
 
@@ -461,28 +587,24 @@ def s_plus(l, x, kind=1):
     S^+- = (-+i)^l (S^e -+ i S^o), which keeps the two evaluation routes
     numerically coherent.
     """
-    so = s_odd(l, x)
-    se = s_even(l, x)
-    if kind == 1:
-        val = complex(se, -so)
-        rot = (-1j) ** (l % 4)
-    else:
-        val = complex(se, so)
-        rot = (1j) ** (l % 4)
-    return rot * val
+    return _s_plus(l, _hankel_sum(l, x, 0, _FLOAT), _hankel_sum(l, x, 1, _FLOAT), kind, _FLOAT)
 
 
 _CROSSOVER_EXTRA = 4.0
+
+
+def _trig_j_n(l, so, se, sin, cos):
+    """(j_l, n_l) by the trig decomposition from S^o_l, S^e_l, sin x and cos x."""
+    s, c = _phase_shift(l, sin, cos)
+    return so * s + se * c, -so * c + se * s
 
 
 def _j_n(l, x):
     """(j_l(x), n_l(x)): series below the crossover, trig decomposition above."""
     if x < l + _CROSSOVER_EXTRA:
         return _series_j(l, x), _series_n(l, x)
-    so = s_odd(l, x)
-    se = s_even(l, x)
-    s, c = phase_shifted_trig(l, x)
-    return so * s + se * c, -so * c + se * s
+    so, se = _hankel_sum(l, x, 0, _FLOAT), _hankel_sum(l, x, 1, _FLOAT)
+    return _trig_j_n(l, so, se, math.sin(x), math.cos(x))
 
 
 def radial_basis(kind, l, x):
@@ -523,3 +645,44 @@ def radial_basis_deriv(kind, l, x):
     if l == 0:
         return -radial_basis(kind, 1, x)
     return radial_basis(kind, l - 1, x) - (l + 1.0) / x * radial_basis(kind, l, x)
+
+
+@np.errstate(all="ignore")
+def _bessel_grid(l, x):
+    """radial_basis of h1, j and n at one l over a 1-d float array x: complex arrays,
+    bit for bit the float values, and nan or inf where the float form raises."""
+    try:
+        so, se = _hankel_sum(l, x, 0, _ARRAY), _hankel_sum(l, x, 1, _ARRAY)
+    except OverflowError:  # an a_k(l + 1/2) beyond the float range (l >= 86)
+        so = se = np.full(x.shape, math.nan)
+    sin, cos = _ARRAY.sin(x), _ARRAY.cos(x)
+    # cmath.exp(1j * x) is (exp(0.0) cos x, exp(0.0) sin x) = (cos x, sin x)
+    h1 = _cmul(_complex(cos, sin), _s_plus(l, so, se, 1, _ARRAY))
+    j, n = _trig_j_n(l, so, se, sin, cos)
+    at = np.flatnonzero(x < l + _CROSSOVER_EXTRA)
+    if at.size:
+        xs = x[at]
+        js, ns = _series_grid("j", l, xs), _series_grid("n", l, xs)
+        # _j_n sums both series, so where either raises, j and n both raise
+        fault = np.isnan(js) | np.isnan(ns) | _n_overflows(l, xs, _ARRAY)
+        j[at], n[at] = np.where(fault, math.nan, js), np.where(fault, math.nan, ns)
+    return h1, _complex(j), _complex(n)
+
+
+@np.errstate(all="ignore")
+def _radial_grid(x, lmax):
+    """radial_basis and radial_basis_deriv of h1, j and n for l = 0..lmax over a 1-d
+    float array x.
+
+    Returns [(values, derivatives)] for h1, j and n: complex arrays of shape
+    (len(x), lmax + 1), bit for bit the float functions, and nan or inf
+    where those raise.  The ladder derivative at l takes the values at
+    l - 1 (at l = 0, at 1) from the neighbouring row, which are the same.
+    """
+    rows = [_bessel_grid(l, x) for l in range(max(lmax, 1) + 1)]
+    out = []
+    for values in zip(*rows):
+        derivs = [-values[1]]
+        derivs += [values[l - 1] - _cmul((l + 1.0) / x, values[l]) for l in range(1, lmax + 1)]
+        out.append((np.stack(values[: lmax + 1], axis=1), np.stack(derivs, axis=1)))
+    return out

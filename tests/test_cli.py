@@ -276,6 +276,12 @@ class TestHarmonicsTable:
         assert rc == cli.EXIT_OK
         assert len(out.read_text().strip().splitlines()) > 1
 
+    @pytest.mark.parametrize("d", ["2", "0", "-3"])
+    def test_ladder_table_below_d_3_is_a_config_error(self, d, capsys):
+        argv = ["harmonics-table", "--table", "ladder", "--d", d, "--lmax", "1"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"config error: ladder_coeffs requires d >= 3, got d = {d}\n")
+
 
 class TestExitCodes:
     def test_config_error(self):

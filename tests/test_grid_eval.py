@@ -7,6 +7,7 @@ repr, which tells -0.0 and every float apart), and every failure must be
 the one the scalar scan meets first, with the same message.
 """
 
+import json
 import math
 
 import numpy as np
@@ -274,3 +275,147 @@ class TestFluxClassify:
                 for f in (ads_modes.radial_eval, ads_modes.radial_eval_deriv)
             ]
             assert [repr(c[i].item()) for c in channels] == [repr(v) for v in ref]
+
+
+@pytest.fixture(scope="module")
+def roadmap_flux_rows():
+    """The scalar loop's rows of the ROADMAP grid flux-classify --omega 1:20:0.1 --lmax 10."""
+    return reference_flux(ads_modes.AdSParams(3, 4.2), cli.parse_omega_range("1:20:0.1"), 10)
+
+
+HEADER = ["spacetime", "kind", "omega", "l", "flux_per_time", "verdict"]
+
+
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+def test_roadmap_flux_grid_file_equals_scalar_loop(out_format, roadmap_flux_rows, tmp_path):
+    out = tmp_path / f"flux.{out_format}"
+    argv = ["flux-classify", "--d", "3", "--omega", "1:20:0.1", "--lmax", "10"]
+    assert cli.main(argv + ["--format", out_format, "--out", str(out)]) == cli.EXIT_OK
+    if out_format == "csv":
+        # each cell spelled by fmt, the per-cell rule
+        lines = [",".join(HEADER)] + [",".join(cli.fmt(v) for v in row) for row in roadmap_flux_rows]
+        expected = "\n".join(lines) + "\n"
+    else:
+        expected = json.dumps([dict(zip(HEADER, row)) for row in roadmap_flux_rows], indent=1, sort_keys=True) + "\n"
+    text = out.read_text()
+    # line lists: a failing comparison reports the first differing line at once
+    assert text.endswith("\n") and text.splitlines() == expected.splitlines()
+    assert len(roadmap_flux_rows) == 13 * 11 * 2 + 178 * 11 * 6  # 13 omegas below the shell
+
+
+def radial_points():
+    """x on both sides of the series/trig crossover l + 4 and next to it, small and large
+    x, and x where the float forms raise: the n series overflows (tiny x), a power of x
+    overflows (x^2 for x > 1.4e154)."""
+    xs = [1e-30, 1e-8, 0.01, 0.3, 1.0, 2.5, 7.3, 19.0, 33.3, 100.0, 1e3, 1e60, 1e120, 1e154, 3e154]
+    for l in range(13):
+        c = l + 4.0
+        xs += [c, math.nextafter(c, 0.0), math.nextafter(c, math.inf), c - 0.1, c + 0.1, c - 1.0]
+    return np.array(sorted(set(xs)))
+
+
+def value_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return exc
+
+
+@pytest.mark.parametrize("lmax", [0, 1, 12])
+def test_radial_grid_bit_equal_to_radial_basis(lmax):
+    x = radial_points()
+    raised = set()
+    for kind, (values, derivs) in zip(("h1", "j", "n"), specfun._radial_grid(x, lmax)):
+        assert values.shape == derivs.shape == (x.size, lmax + 1)
+        for fn, grid in ((specfun.radial_basis, values), (specfun.radial_basis_deriv, derivs)):
+            for i, xi in enumerate(x.tolist()):
+                for l in range(lmax + 1):
+                    ref = value_or_error(fn, kind, l, xi)
+                    got = grid[i, l].item()
+                    if isinstance(ref, Exception):
+                        raised.add(type(ref))
+                        assert not (math.isfinite(got.real) and math.isfinite(got.imag))
+                    else:
+                        assert repr(got) == repr(ref)
+    assert OverflowError in raised
+    if lmax == 12:
+        assert ZeroDivisionError in raised  # h1 at x = 1e-30: x^13 underflows to 0
+
+
+def test_radial_grid_n_series_overflow_is_a_fault_of_j_and_n():
+    # _j_n sums both series below the crossover, so radial_basis("j") raises n's overflow
+    x = np.array([1e-30, 0.5])
+    for kind in ("j", "n"):
+        with pytest.raises(OverflowError, match="n_12 overflows at x = 1e-30"):
+            specfun.radial_basis(kind, 12, 1e-30)
+    _, j, n = (values[:, 12] for values, _ in specfun._radial_grid(x, 12))
+    assert np.isnan(j[0]) and np.isnan(n[0])
+    assert repr(j[1].item()) == repr(specfun.radial_basis("j", 12, 0.5))
+    assert repr(n[1].item()) == repr(specfun.radial_basis("n", 12, 0.5))
+
+
+def expected_outcome(ref):
+    """(exit code, stderr) of cli.main for the exception the scalar loop raises."""
+    if isinstance(ref, ValueError):
+        return cli.EXIT_CONFIG, f"config error: {ref}\n"
+    return cli.EXIT_NUMERIC, f"numeric error: {ref}\n"
+
+
+# Each grid fails; the first fault is, in turn: channel b's pole at a point above the
+# shell (after its Minkowski rows), a nan ads flux at l = 0, a nan combined flux at
+# l = 21 next to the shell, an x^2 overflow in the l = 0 h1 derivative (a Minkowski row
+# first), and an a_k(l + 1/2) beyond the float range from l = 86 on (h1 value).
+FAULT_GRIDS = [
+    ["--d", "4", "--omega", "2:3:0.5"],
+    ["--omega", "3000:3001:1"],
+    ["--d", "3", "--delta", "4", "--omega", "2.000000000001:2.000000000001:1", "--lmax", "60"],
+    ["--omega", "1e154:1e154:1"],
+    ["--omega", "200:201:0.5", "--lmax", "90"],
+]
+
+
+@pytest.mark.parametrize("argv", FAULT_GRIDS, ids=lambda argv: " ".join(argv))
+def test_fault_is_the_scalar_loops_first(argv, monkeypatch, capsys):
+    settings = dict(zip(argv[::2], argv[1::2]))
+    p = ads_modes.AdSParams(int(settings.get("--d", 3)), float(settings.get("--delta", 4.2)))
+    omegas = [w for w in cli.parse_omega_range(settings["--omega"]) if w != 0.0]
+    ref = value_or_error(reference_flux, p, omegas, int(settings.get("--lmax", 3)))
+    assert isinstance(ref, Exception)
+    rc, rows, err = run_cli(["flux-classify"] + argv, monkeypatch, capsys)
+    assert (rc, rows) == (expected_outcome(ref)[0], None)
+    assert err == expected_outcome(ref)[1]
+
+
+def test_n_series_overflow_point_fails_as_the_scalar_loop():
+    # where the n series overflows, |h1| = |j + i n| is as large, so the h1 row's flux
+    # overflows first: the array pass flags the point, and the scalar rows raise that
+    p = ads_modes.AdSParams(3, 4.0)
+    mass = 2.0
+    w = math.sqrt(mass * mass + (1e-3 / 6.0) ** 2)
+    omega, l = cli._sweep_points([w], 120)
+    channels, _ = ads_modes._channel_grid(p, omega, l, 0.7)
+    p_r = np.sqrt(omega * omega - mass * mass)
+    x = p_r[0] * 6.0
+    n_overflows = [ll for ll in range(121) if isinstance(scalar_or_error(specfun.radial_basis, "n", ll, x), OverflowError)]
+    assert n_overflows
+    fluxes, verdicts = cli._flux_grid(p, omega, l, 120, p_r, channels)
+    first = n_overflows[0]
+    assert verdicts[first, 1] is None and verdicts[first, 2] is None
+    ref = scalar_or_error(cli._flux_point, p, w, first, p_r[first].item(), lambda *c: tuple(v[first].item() for v in channels))
+    assert isinstance(ref, ConvergenceError) and str(ref).startswith(f"minkowski flux at omega = {w}, l = {first} is")
+
+
+def test_mode_flux_standing_threshold_for_floats_and_arrays():
+    # f = 1, f' = 1 + i eps at omega = r = 1: flux 2 eps against the scale 1, standing
+    # at and below STANDING_TOL = 1e-12 only
+    eps = [5e-13, 2e-12, -2e-12, 0.0, math.inf]
+    omega, l = np.ones(len(eps)), np.zeros(len(eps), dtype=int)
+    f, df = np.ones(len(eps)), np.array([complex(1.0, e) for e in eps])
+    grid = flux.mode_flux("minkowski", {"d": 3}, omega, l, (f, df), rho=1.0)
+    assert grid.verdict.tolist() == ["standing", "outgoing", "incoming", "standing", None]
+    for i, e in enumerate(eps):
+        ref = scalar_or_error(flux.mode_flux, "minkowski", {"d": 3}, 1.0, 0, (1.0, complex(1.0, e)), 1.0)
+        if isinstance(ref, Exception):
+            assert isinstance(ref, ConvergenceError) and grid.verdict[i] is None
+        else:
+            assert (ref.verdict, repr(ref.flux_per_time)) == (grid.verdict[i], repr(grid.flux_per_time[i].item()))
