@@ -7,17 +7,25 @@ minus one, symplectic compatibility, reality, positivity of the induced
 real product), the recurrences imposed by commutation with the boost
 generators, and the Gamma-function candidate solutions of those
 recurrences.
+
+The four candidates are Gamma ratios over ten arguments per (omega, l)
+point (_gamma_args).  Over a grid, such as a candidate sweep with its two
+boost-neighbour grids, every candidate reads one signed-log Gamma table
+built in a single pass over the distinct arguments, and each sums its
+sides in the same sorted order as the float candidate_jab, so the two
+agree bit for bit.
 """
 
 import json
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from ._jsonio import encode_array, read_records, records
 from .ads_modes import _channel_params, _find, _ordered_sum, is_real_solution
-from .specfun import _ARRAY, _FLOAT, _cmul, _gamma_fault
+from .specfun import _ARRAY, _FLOAT, _cmul, _gamma_fault, _log_gamma_table
 
 __all__ = [
     "JFactors",
@@ -275,27 +283,43 @@ def boost_recurrence_residual_ba(p, jba, omega, l):
     return res_minus, res_plus
 
 
-def _candidate(which, p, omega, l, ops):
-    """Candidate `which` at (omega, l) by signed-log Gamma products, each side summed in
-    sorted argument order (so -omega, which swaps arguments, gives the same value): the
-    value, the log of its magnitude and each argument in that order with its fault flags."""
+def _gamma_args(p, omega, l):
+    """The Gamma arguments of the candidates at (omega, l), floats or arrays: the channel
+    pairs (alpha_a, beta_a, alpha_b, beta_b), their reflections 1 - x in the same order,
+    g and g - 1."""
     aa, ba, ab, bb, g = _channel_params(p, omega, l)
-    # the channel pairs (alpha, beta) and their reflections (1 - alpha, 1 - beta)
-    a, b = (aa, ba), (ab, bb)
-    ra, rb = (1.0 - aa, 1.0 - ba), (1.0 - ab, 1.0 - bb)
-    sides = {1: (a, b), 2: (rb, ra), 3: ((), b + ra), 4: (a + rb, ())}
-    if which not in sides:
+    return aa, ba, ab, bb, 1.0 - aa, 1.0 - ba, 1.0 - ab, 1.0 - bb, g, g - 1.0
+
+
+# The numerator and denominator of each candidate (candidate_jab) as positions in _gamma_args.
+_SIDES = {
+    1: ((0, 1), (2, 3, 8, 9)),
+    2: ((6, 7), (4, 5, 8, 9)),
+    3: ((), (2, 3, 4, 5, 8, 9)),
+    4: ((0, 1, 6, 7), (8, 9)),
+}
+
+
+def _sides(which):
+    if which not in _SIDES:
         raise ValueError("candidate index must be 1..4")
-    numerator, denominator = sides[which]
+    return _SIDES[which]
+
+
+def _candidate(which, args, l, ops):
+    """Candidate `which` from the _gamma_args of its points by signed-log Gamma products,
+    each side summed in sorted argument order (so -omega, which swaps arguments, gives the
+    same value): the value, the log of its magnitude and each argument in that order with
+    its fault flags."""
     sign = (-1.0) ** l if which in (1, 2) else 1.0
-    log_total, args = 0.0, []
-    for direction, side in ((1.0, numerator), (-1.0, denominator + (g, g - 1.0))):
-        for x in ops.sort(side):
+    log_total, faults = 0.0, []
+    for direction, side in zip((1.0, -1.0), _sides(which)):
+        for x in ops.sort([args[i] for i in side]):
             log_abs, s, fault = ops.log_gamma(x)
             log_total = log_total + direction * log_abs
             sign = sign * s
-            args.append((x, fault))
-    return sign * ops.exp(log_total), log_total, args
+            faults.append((x, fault))
+    return sign * ops.exp(log_total), log_total, faults
 
 
 def candidate_jab(which, p, omega, l):
@@ -308,7 +332,7 @@ def candidate_jab(which, p, omega, l):
     with aa/ba the channel-a parameter pair, ab/bb the channel-b pair,
     g = l + d/2.  Real for real inputs; poles raise with the argument.
     """
-    value, _, args = _candidate(which, p, omega, l, _FLOAT)
+    value, _, args = _candidate(which, _gamma_args(p, omega, l), l, _FLOAT)
     for x, fault in args:
         if fault:
             raise _gamma_fault(x)
@@ -316,42 +340,59 @@ def candidate_jab(which, p, omega, l):
 
 
 @np.errstate(all="ignore")
-def _candidate_jab_grid(which, p, omega, l):
-    """candidate_jab over arrays omega and l (ints): (values, faults).
+def _candidate_grids(which_list, p, omega, l):
+    """candidate_jab of each candidate in which_list over arrays omega and l (ints):
+    [(values, faults)] in the order of which_list.
 
-    faults maps the index of a point where candidate_jab raises to the
-    exception it raises first: per argument in sorted numerator and then
-    sorted denominator order a non-finite value or a pole, then an
+    One _log_gamma_grid pass covers the distinct Gamma arguments those
+    candidates take at these points, and every candidate reads its
+    arguments from it.  faults maps the index of a point where
+    candidate_jab raises to the exception it raises first: per argument
+    in sorted numerator and then sorted denominator order a non-finite
+    value or a pole (named by the point's own argument), then an
     overflowing exp.  A negative l anywhere raises ValueError at once.
     """
     omega, l = np.asarray(omega, dtype=float), np.asarray(l)
-    values, log_total, args = _candidate(which, p, omega, l, _ARRAY)
-    faults = {}
-    for x, fault in args:
-        for i in np.flatnonzero(fault).tolist():
-            faults.setdefault(i, _gamma_fault(x.item(i)))
-    for i in np.flatnonzero(np.isinf(values) & np.isfinite(log_total)).tolist():
-        faults.setdefault(i, OverflowError("math range error"))
-    return values, faults
+    args = _gamma_args(p, omega, l)
+    used = {i for which in which_list for side in _sides(which) for i in side}
+    log_gamma = _log_gamma_table([args[i] for i in used])
+    ops = SimpleNamespace(**(vars(_ARRAY) | {"log_gamma": log_gamma}))
+    out = []
+    for which in which_list:
+        values, log_total, arg_faults = _candidate(which, args, l, ops)
+        faults = {}
+        for x, fault in arg_faults:
+            for i in np.flatnonzero(fault).tolist():
+                faults.setdefault(i, _gamma_fault(x.item(i)))
+        for i in np.flatnonzero(np.isinf(values) & np.isfinite(log_total)).tolist():
+            faults.setdefault(i, OverflowError("math range error"))
+        out.append((values, faults))
+    return out
 
 
 @np.errstate(all="ignore")
-def _candidate_boost_grid(which, p, omega, l):
-    """candidate_jab and its two boost residuals over arrays omega and l (ints).
+def _candidate_boost_grid(which_list, p, omega, l):
+    """candidate_jab and its two boost residuals over arrays omega and l (ints), for each
+    candidate in which_list: [(values, res_minus, res_plus)] in that order.
 
     Bit for bit candidate_jab and boost_recurrence_residual point by
-    point.  Raises what they raise first when the points are taken in
-    order, each point's own value before its (omega - 1, l + 1) and then
-    its (omega + 1, l + 1) neighbour.
+    point.  Raises what they raise first when the candidates are taken in
+    the order of which_list and, within one, the points in order, each
+    point's own value before its (omega - 1, l + 1) and then its
+    (omega + 1, l + 1) neighbour.  The points and both neighbour grids
+    share one Gamma pass (_candidate_grids).
     """
     omega, l = np.asarray(omega, dtype=float), np.asarray(l)
     omegas = np.concatenate([omega, omega - 1.0, omega + 1.0])
-    values, faults = _candidate_jab_grid(which, p, omegas, np.concatenate([l, l + 1, l + 1]))
-    if faults:
-        raise faults[min(faults, key=lambda i: (i % l.size, i // l.size))]
-    base, minus, plus = values.reshape(3, l.size)
-    res_minus = np.abs(minus + base * _boost_factor(p, omega, l))
-    return base, res_minus, np.abs(plus + base * _boost_factor(p, -omega, l))
+    ls = np.concatenate([l, l + 1, l + 1])
+    out = []
+    for values, faults in _candidate_grids(which_list, p, omegas, ls):
+        if faults:
+            raise faults[min(faults, key=lambda i: (i % l.size, i // l.size))]
+        base, minus, plus = values.reshape(3, l.size)
+        res_minus = np.abs(minus + base * _boost_factor(p, omega, l))
+        out.append((base, res_minus, np.abs(plus + base * _boost_factor(p, -omega, l))))
+    return out
 
 
 def complete_nondiagonal(jab, jaa=0.0):
@@ -391,7 +432,7 @@ def candidate_jfactors(which, p, grid, jaa=0.0):
     if not keys:
         return JFactors({})
     omegas, ls = zip(*keys)
-    values, faults = _candidate_jab_grid(which, p, omegas, np.array(ls, dtype=int))
+    [(values, faults)] = _candidate_grids([which], p, omegas, np.array(ls, dtype=int))
     table = {}
     for i, (key, jab) in enumerate(zip(keys, values.tolist())):
         if i in faults:

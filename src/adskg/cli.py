@@ -453,8 +453,8 @@ def cmd_candidate_sweep(args):
     header = ["candidate", "omega", "l", "jab", "sign_jab", "res_minus", "res_plus"]
     rows = []
     worst = 0.0
-    for which in which_list:
-        val, rm, rp = acs._candidate_boost_grid(which, p, omegas, ls)
+    grids = acs._candidate_boost_grid(which_list, p, omegas, ls)
+    for which, (val, rm, rp) in zip(which_list, grids):
         with np.errstate(all="ignore"):
             scale = np.maximum(np.abs(val), 1e-300)
             rm, rp = rm / scale, rp / scale

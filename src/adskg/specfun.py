@@ -63,21 +63,24 @@ def _round_finite(x):
     return round(x) if math.isfinite(x) else math.nan
 
 
-def _libm(fn, x, *args):
+def _libm(fn, x, *args, where_raises=None):
     """fn of Python numbers per element of an array x, with further arguments (arrays or
     scalars) broadcast against it: a float array, nan where fn raises.
 
     numpy's vectorised log, exp, sin, cos, pow and complex abs may differ
     from libm in the last bits; the array forms use libm so that they match
     the float forms.  Where a float form raises (a power out of range, the
-    sine of an infinity), its array form carries nan.
+    sine of an infinity), its array form carries nan.  When some element
+    raises, where_raises, if given, maps every element instead: a float
+    function that gives fn's value where fn does not raise.
     """
     x, *args = np.broadcast_arrays(x, *args)
     columns = [a.ravel().tolist() for a in (x, *args)]
     try:
         values = np.fromiter(map(fn, *columns), dtype=float, count=x.size)
     except (OverflowError, ValueError):
-        values = np.array([_nan_where_raises(fn, *v) for v in zip(*columns)], dtype=float)
+        slow = where_raises or functools.partial(_nan_where_raises, fn)
+        values = np.fromiter(map(slow, *columns), dtype=float, count=x.size)
     return values.reshape(x.shape)
 
 
@@ -192,6 +195,25 @@ def _log_gamma_grid(x):
     return log_abs, sign, fault
 
 
+def _log_gamma_table(arrays):
+    """_log_gamma_grid for arrays whose elements all occur in the given arrays: one pass
+    over their distinct values, then a lookup per element, with the shape of the array
+    looked up.
+
+    Bit for bit _log_gamma_grid, which is elementwise.  Values are distinct by
+    float equality, so -0.0 shares the entry of 0.0 and every nan shares one;
+    each such group has one (log_abs, sign, fault).
+    """
+    keys = np.unique(np.concatenate([np.ravel(a) for a in arrays]))
+    table = _log_gamma_grid(keys)
+
+    def log_gamma(x):
+        at = np.searchsorted(keys, x)
+        return tuple(column[at] for column in table)
+
+    return log_gamma
+
+
 def gamma_value(x):
     """Gamma(x) as a float; raises PoleError at nonpositive integers."""
     return log_gamma_signed(x).value()
@@ -250,7 +272,7 @@ _ARRAY = SimpleNamespace(
     log=functools.partial(_libm, math.log),
     sin=functools.partial(_libm, math.sin),
     cos=functools.partial(_libm, math.cos),
-    exp=functools.partial(_libm, _exp_or_inf),
+    exp=functools.partial(_libm, math.exp, where_raises=_exp_or_inf),
     pow=functools.partial(_libm, math.pow),
     abs=functools.partial(_libm, abs),
     sqrt=np.sqrt,
@@ -275,7 +297,12 @@ def a_coeff(k, l):
         raise ValueError("a_coeff requires l >= 0")
     if k < 0 or k > l:
         return 0.0
-    return math.factorial(l + k) / (2.0**k * math.factorial(k) * math.factorial(l - k))
+    try:
+        return math.factorial(l + k) / (2.0**k * math.factorial(k) * math.factorial(l - k))
+    except OverflowError:  # (l + k)! exceeds the float range from l + k = 171 on
+        raise OverflowError(
+            f"a_coeff(k = {k}, l = {l}): (l + k)! = {l + k}! is beyond the float range"
+        ) from None
 
 
 def legendre_p(l, m, x):
@@ -538,11 +565,19 @@ def _hankel_terms(l, start):
 
 def _hankel_sum(l, x, start, ops):
     """sum_k (-1)^k a_(2k+start)(l + 1/2) / x^(2k+start+1) over 2k + start <= l, at a
-    float or over an array x: S^o_l for start 0, S^e_l for start 1 (DLMF 10.49.2)."""
-    pow_ = ops.pow
+    float or over an array x: S^o_l for start 0, S^e_l for start 1 (DLMF 10.49.2).  A
+    float power of x beyond the float range raises OverflowError naming the sum, l and x;
+    an array carries nan there."""
+    pow_, terms = ops.pow, _hankel_terms(l, start)
     total = 0.0
-    for coeff, power in _hankel_terms(l, start):
-        total += coeff / pow_(x, power)
+    try:
+        for coeff, power in terms:
+            total += coeff / pow_(x, power)
+    except OverflowError:
+        name = "s_even" if start else "s_odd"
+        raise OverflowError(
+            f"{name}(l = {l}, x = {x}): x^{power} is beyond the float range"
+        ) from None
     return total
 
 

@@ -259,6 +259,22 @@ class TestFluxClassify:
         assert (rc, out) == (cli.EXIT_NUMERIC, "")
         assert err == "numeric error: ads flux at omega = 3000.0, l = 0 is nan\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # h1 at l >= 86 needs a_k(l + 1/2) with (l + k)! beyond the float range
+            (
+                ["--omega", "200:201:0.5", "--lmax", "90"],
+                "a_coeff(k = 86, l = 86): (l + k)! = 172! is beyond the float range",
+            ),
+            # x^2 of S^e_1 in the l = 0 h1 derivative at x = 6 p_r
+            (["--omega", "1e154:1e154:1"], "s_even(l = 1, x = 6e+154): x^2 is beyond the float range"),
+        ],
+    )
+    def test_overflow_names_its_cause(self, argv, message, capsys):
+        rc = cli.main(["flux-classify"] + argv)
+        assert (rc, capsys.readouterr()) == (cli.EXIT_NUMERIC, ("", f"numeric error: {message}\n"))
+
 
 class TestHarmonicsTable:
     def test_ladder_table(self, tmp_path):

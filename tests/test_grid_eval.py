@@ -419,3 +419,89 @@ def test_mode_flux_standing_threshold_for_floats_and_arrays():
             assert isinstance(ref, ConvergenceError) and grid.verdict[i] is None
         else:
             assert (ref.verdict, repr(ref.flux_per_time)) == (grid.verdict[i], repr(grid.flux_per_time[i].item()))
+
+
+def test_log_gamma_table_keeps_shape_and_bits():
+    # one pass over the distinct values of several arrays, looked up per element: repeated
+    # values, both zeros, nan, infinities, poles and near poles read exactly what
+    # _log_gamma_grid gives each array on its own, in that array's shape
+    rng = np.random.default_rng(11)
+    special = [0.0, -0.0, math.nan, math.inf, -math.inf, -3.0, -3.0 + 1e-10, -3.0 + 2e-9]
+    base = np.concatenate([TestLogGammaGrid().draws(), special])
+    x = rng.choice(base, size=(3, 400))
+    y = np.concatenate([base, -base])[::-1]
+    log_gamma = specfun._log_gamma_table([x, y])
+    for arr in (x, y, x[1], x[:, :7].T, y.reshape(2, -1), np.array(special)):
+        got, ref = log_gamma(arr), specfun._log_gamma_grid(arr)
+        for g, r in zip(got, ref, strict=True):
+            assert (g.shape, g.dtype) == (arr.shape, r.dtype)
+            assert g.tobytes() == r.tobytes()
+    assert ref[2].tolist() == [True] * 7 + [False]  # all but -3.0 + 2e-9 are faults
+
+
+ROADMAP_SWEEP = ["candidate-sweep", "--d", "3", "--omega", "0.05:20:0.1", "--lmax", "10"]
+SWEEP_HEADER = ["candidate", "omega", "l", "jab", "sign_jab", "res_minus", "res_plus"]
+
+
+@pytest.fixture(scope="module")
+def roadmap_sweep():
+    """The scalar loop's rows and worst residual of the ROADMAP grid, all four candidates."""
+    omegas = cli.parse_omega_range("0.05:20:0.1")
+    return reference_sweep(ads_modes.AdSParams(3, 4.2), omegas, 10, [1, 2, 3, 4])
+
+
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+def test_roadmap_sweep_file_equals_scalar_loop(out_format, roadmap_sweep, tmp_path, capsys):
+    rows, worst = roadmap_sweep
+    out = tmp_path / f"sweep.{out_format}"
+    assert cli.main(ROADMAP_SWEEP + ["--format", out_format, "--out", str(out)]) == cli.EXIT_OK
+    if out_format == "csv":
+        lines = [",".join(SWEEP_HEADER)] + [",".join(cli.fmt(v) for v in row) for row in rows]
+        expected = "\n".join(lines) + "\n"
+    else:
+        expected = json.dumps([dict(zip(SWEEP_HEADER, row)) for row in rows], indent=1, sort_keys=True) + "\n"
+    text = out.read_text()
+    assert text.endswith("\n") and text.splitlines() == expected.splitlines()
+    assert len(rows) == 4 * 200 * 11
+    assert capsys.readouterr().err == f"worst relative boost residual: {worst:.3e}\n"
+
+
+# d = 3, Delta = 4.2: candidate 1 has no pole on this grid, candidates 2 and 4 each have
+# one, at different points and arguments
+SHARED_POLE_GRID = ["--delta", "4.2", "--omega", "1.3:5.3:0.5", "--lmax", "2"]
+
+
+@pytest.mark.parametrize("order", [[1], [1, 2], [2, 1], [2, 4], [4, 2], [1, 4, 2], [4, 4, 1]])
+def test_shared_gamma_pass_faults_in_candidate_order(order, monkeypatch, capsys):
+    # the candidates share one Gamma table, yet each meets only its own arguments' faults,
+    # and the first candidate in --candidates order that fails is the one reported
+    p = ads_modes.AdSParams(3, 4.2)
+    omegas = cli.parse_omega_range("1.3:5.3:0.5")
+    argv = ["candidate-sweep"] + SHARED_POLE_GRID + ["--candidates"] + [str(c) for c in order]
+    rc, rows, err = run_cli(argv, monkeypatch, capsys)
+    ref = value_or_error(reference_sweep, p, omegas, 2, order)
+    if isinstance(ref, Exception):
+        assert isinstance(ref, PoleError)
+        assert (rc, rows, err) == (cli.EXIT_NUMERIC, None, f"numeric error: {ref}\n")
+    else:
+        assert order == [1] and rc == cli.EXIT_OK
+        assert as_text(rows) == as_text(ref[0])
+    first = {str(value_or_error(reference_sweep, p, omegas, 2, [c])) for c in (2, 4)}
+    assert len(first) == 2  # candidates 2 and 4 fail with different messages
+
+
+def test_exp_overflow_is_the_scalar_loops_first(monkeypatch, capsys):
+    # at omega = 1e5 the Gamma ratios pass the float range from l = 44 on: each candidate
+    # fails with math.exp's OverflowError at row 43's neighbours, unless a pole comes first
+    messages = set()
+    grids = [["--omega", "1e5:1e5:1"], ["--delta", "4", "--omega", "99999:100000:0.5"]]
+    for extra in (grid + ["--lmax", "50"] for grid in grids):
+        settings = dict(zip(extra[::2], extra[1::2]))
+        p = ads_modes.AdSParams(3, float(settings.get("--delta", 4.2)))
+        for order in ([1, 2, 3, 4], [3, 1]):
+            ref = value_or_error(reference_sweep, p, cli.parse_omega_range(settings["--omega"]), 50, order)
+            argv = ["candidate-sweep"] + extra + ["--candidates"] + [str(c) for c in order]
+            rc, rows, err = run_cli(argv, monkeypatch, capsys)
+            assert (rc, rows, err) == (cli.EXIT_NUMERIC, None, f"numeric error: {ref}\n")
+            messages.add(str(ref))
+    assert "math range error" in messages and any(m.startswith("Gamma pole") for m in messages)

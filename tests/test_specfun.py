@@ -110,6 +110,19 @@ class TestACoeff:
                 else:
                     assert a_coeff(k, l) > 0.0
 
+    def test_bit_equal_below_the_factorial_range(self):
+        # (l + k)! converts to a float through l + k = 170
+        for l in range(171):
+            for k in range(min(l, 170 - l) + 1):
+                ref = math.factorial(l + k) / (2.0**k * math.factorial(k) * math.factorial(l - k))
+                assert repr(a_coeff(k, l)) == repr(ref)
+
+    @pytest.mark.parametrize("k, l", [(85, 86), (86, 86), (82, 90), (171, 200)])
+    def test_overflow_names_k_and_l(self, k, l):
+        with pytest.raises(OverflowError) as exc:
+            a_coeff(k, l)
+        assert str(exc.value) == f"a_coeff(k = {k}, l = {l}): (l + k)! = {l + k}! is beyond the float range"
+
 
 class TestOrthoPoly:
     """legendre_p and gegenbauer_c, the two orthogonal-polynomial families in use."""
@@ -298,6 +311,17 @@ class TestRadialBasis:
                 h1 = radial_basis("h1", l, float(x))
                 jn = radial_basis("j", l, float(x)) + 1j * radial_basis("n", l, float(x))
                 assert abs(h1 - jn) <= 1e-10 * max(1.0, abs(h1))
+
+    def test_hankel_sum_overflow_names_the_sum(self):
+        # the first power of x beyond the float range, per sum; h1 raises what s_odd raises
+        for fn, message in (
+            (lambda: s_odd(2, 1e155), "s_odd(l = 2, x = 1e+155): x^3 is beyond the float range"),
+            (lambda: s_even(3, 1e155), "s_even(l = 3, x = 1e+155): x^2 is beyond the float range"),
+            (lambda: radial_basis("h1", 2, 1e155), "s_odd(l = 2, x = 1e+155): x^3 is beyond the float range"),
+        ):
+            with pytest.raises(OverflowError) as exc:
+                fn()
+            assert str(exc.value) == message
 
     def test_h2_is_conjugate_route(self):
         for l in range(5):
