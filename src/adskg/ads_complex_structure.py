@@ -373,25 +373,28 @@ def _candidate_grids(which_list, p, omega, l):
 @np.errstate(all="ignore")
 def _candidate_boost_grid(which_list, p, omega, l):
     """candidate_jab and its two boost residuals over arrays omega and l (ints), for each
-    candidate in which_list: [(values, res_minus, res_plus)] in that order.
+    candidate in which_list: [(values, res_minus, res_plus, faults)] in that order.
 
     Bit for bit candidate_jab and boost_recurrence_residual point by
-    point.  Raises what they raise first when the candidates are taken in
-    the order of which_list and, within one, the points in order, each
-    point's own value before its (omega - 1, l + 1) and then its
-    (omega + 1, l + 1) neighbour.  The points and both neighbour grids
-    share one Gamma pass (_candidate_grids).
+    point.  faults maps the index of each point where those raise, in
+    point order, to what they raise first: for the point's own value,
+    else its (omega - 1, l + 1) neighbour, else its (omega + 1, l + 1)
+    one.  The three values of such a point are nan.  The points and both
+    neighbour grids share one Gamma pass (_candidate_grids).
     """
     omega, l = np.asarray(omega, dtype=float), np.asarray(l)
     omegas = np.concatenate([omega, omega - 1.0, omega + 1.0])
     ls = np.concatenate([l, l + 1, l + 1])
     out = []
-    for values, faults in _candidate_grids(which_list, p, omegas, ls):
-        if faults:
-            raise faults[min(faults, key=lambda i: (i % l.size, i // l.size))]
+    for values, grid_faults in _candidate_grids(which_list, p, omegas, ls):
         base, minus, plus = values.reshape(3, l.size)
         res_minus = np.abs(minus + base * _boost_factor(p, omega, l))
-        out.append((base, res_minus, np.abs(plus + base * _boost_factor(p, -omega, l))))
+        res_plus = np.abs(plus + base * _boost_factor(p, -omega, l))
+        faults = {}
+        for i in sorted(grid_faults, key=lambda i: (i % l.size, i // l.size)):
+            faults.setdefault(i % l.size, grid_faults[i])
+        base[list(faults)] = res_minus[list(faults)] = res_plus[list(faults)] = np.nan
+        out.append((base, res_minus, res_plus, faults))
     return out
 
 

@@ -196,27 +196,24 @@ def _channel_grid(p, omega, l, rho):
     """(S_a, dS_a, S_b, dS_b) at one rho over arrays omega and l (ints), and the faults.
 
     Bit for bit radial_eval and radial_eval_deriv of each point, with F and
-    dF/dz of each channel summed once per point.  faults maps the index of
-    a point where those raise to [(stage, channel, exception)], the first
-    failure of each failing channel (0 a, 1 b): stage 0 for its value
-    series or channel b's pole, 1 for its derivative series.
+    dF/dz of each channel summed once per point.  faults holds one dict per
+    channel (a, b) that maps the index of a point where those raise to the
+    exception: channel b's pole, else the value series' fault, else the
+    derivative series' fault.  The values a fault spoils are nan.
     """
     z = _check_rho(rho)
     omega, l = np.asarray(omega, dtype=float), np.asarray(l)
-    faults, out = {}, []
-    for channel, name in enumerate("ab"):
+    faults, out = [], []
+    for name in "ab":
         exp_sin, (a, b, c), pole = _channel(p, omega, l, name, _ARRAY)
         pole = np.broadcast_to(pole, l.shape)
-        for i in np.flatnonzero(pole).tolist():
-            faults.setdefault(i, []).append((0, channel, _channel_pole(p, c.item(i))))
+        poles = {i: _channel_pole(p, c.item(i)) for i in np.flatnonzero(pole).tolist()}
         points = np.flatnonzero(~pole)
         a, b, c = a[points], b[points], c[points]
         factor, shifted = _dz_series(a, b, c)
         f, f_faults = _hyp2f1_grid(a, b, c, z)
         f1, f1_faults = _hyp2f1_grid(*shifted, z)
-        # where both series fail, the value series fails first
-        for i, exc in (f1_faults | f_faults).items():
-            faults.setdefault(points.item(i), []).append((int(i not in f_faults), channel, exc))
+        faults.append(poles | {points.item(i): exc for i, exc in (f1_faults | f_faults).items()})
         # the powers of sin and cos per exponent, taken as radial_eval takes them
         exps, at = np.unique(exp_sin[points], return_inverse=True)
         factors = np.reshape([_rho_factors(p, e, rho) for e in exps.tolist()], (-1, 5))[at].T
@@ -224,7 +221,7 @@ def _channel_grid(p, omega, l, rho):
             full = np.full(l.shape, np.nan)
             full[points] = part
             out.append(full)
-    return tuple(out), faults
+    return tuple(out), tuple(faults)
 
 
 def radial_wronskian(p, omega, l, rho):

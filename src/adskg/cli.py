@@ -4,7 +4,8 @@ Subcommands: selfcheck, harmonics-table, jfactor-audit, candidate-sweep,
 flux-classify, each taking --config and the OPTIONS it reads (SUBCOMMANDS).
 Options may come from flags or a flat key=value config file (flags win).
 Exit codes: 0 ok, 1 invariant failure, 2 usage or config error, 3 numeric
-pole or overflow.
+pole or overflow (candidate-sweep and flux-classify still write every row, a
+faulted one with nan and "fault"; jfactor-audit stops at its first pole).
 """
 
 import argparse
@@ -446,27 +447,36 @@ def _sweep_points(omegas, lmax):
     return np.repeat(np.array(omegas, dtype=float), len(ls)), np.tile(ls, len(omegas))
 
 
+def _report_faults(faults):
+    """Print each distinct fault message once, in order: EXIT_NUMERIC if any, else None."""
+    for message in dict.fromkeys(map(str, faults)):
+        print(f"numeric error: {message}", file=sys.stderr)
+    return EXIT_NUMERIC if faults else None
+
+
 def cmd_candidate_sweep(args):
     p = ads_modes.AdSParams(args.d, args.delta)
     omegas, ls = _sweep_points(parse_omega_range(args.omega), args.lmax)
     which_list = args.candidates or [1, 2, 3, 4]
     header = ["candidate", "omega", "l", "jab", "sign_jab", "res_minus", "res_plus"]
-    rows = []
+    rows, faults = [], []
     worst = 0.0
     grids = acs._candidate_boost_grid(which_list, p, omegas, ls)
-    for which, (val, rm, rp) in zip(which_list, grids):
+    for which, (val, rm, rp, found) in zip(which_list, grids):
         with np.errstate(all="ignore"):
             scale = np.maximum(np.abs(val), 1e-300)
             rm, rp = rm / scale, rp / scale
-        ratios = np.concatenate([rm, rp])
-        # max() over the rows: a nan ratio never wins
-        worst = float(np.max(ratios, initial=worst, where=~np.isnan(ratios)))
-        sign = np.copysign(1.0, val).astype(int)
+        # the largest ratio over the rows: fmax skips a nan one
+        worst = float(np.fmax.reduce(np.concatenate([rm, rp]), initial=worst))
+        sign = np.copysign(1.0, val).astype(int).astype(object)
+        sign[list(found)] = "fault"
         columns = (omegas, ls, val, sign, rm, rp)
         rows += [[which, *cells] for cells in zip(*(c.tolist() for c in columns))]
+        faults += found.values()
     write_rows(header, rows, args.format, args.out)
+    failed = _report_faults(faults)
     print(f"worst relative boost residual: {worst:.3e}", file=sys.stderr)
-    return EXIT_OK if worst <= args.tolerance else EXIT_INVARIANT
+    return failed or (EXIT_OK if worst <= args.tolerance else EXIT_INVARIANT)
 
 
 # -------------------------------------------------------------- flux-classify
@@ -484,30 +494,11 @@ FLUX_ROWS = (
 MINKOWSKI_R, ADS_RHO = 6.0, 0.7
 
 
-def _flux_point(p, w, l, p_r, checked):
-    """The DirectionVerdict of each row of one point by the scalar functions, which raise
-    what the scalar loop meets first there.  p_r is the flat radial momentum above the
-    mass shell and None below it; checked(*channels) gives (S_a, dS_a, S_b, dS_b)."""
-    out = []
-    if p_r is not None:
-        x = p_r * MINKOWSKI_R
-        for kind in ("h1", "j", "n"):
-            f = specfun.radial_basis(kind, l, x)
-            df = p_r * specfun.radial_basis_deriv(kind, l, x)
-            out.append(flux.mode_flux("minkowski", {"d": p.d}, w, l, (f, df), rho=MINKOWSKI_R))
-        fa, dfa, _ = flux._combined_mode(p, w, l, lambda: checked(0, 1))
-        out.append(flux.mode_flux("ads", p, w, l, (fa, dfa), rho=ADS_RHO))
-    for channel in (0, 1):
-        fr, dfr = checked(channel)[2 * channel : 2 * channel + 2]
-        out.append(flux.mode_flux("ads", p, w, l, (fr, dfr), rho=ADS_RHO))
-    return out
-
-
 @np.errstate(all="ignore")
 def _flux_grid(p, omega, l, lmax, p_r, channels):
     """(flux, verdict) arrays of shape (points, 6) over the FLUX_ROWS of the omega-major
-    sweep points, by the array forms: bit for bit _flux_point, with the verdict None
-    where it raises and at the rows a point below the shell lacks (p_r nan there)."""
+    sweep points, by the array forms: bit for bit the float functions, "fault" where they
+    raise, and None at the rows a point below the shell lacks (p_r nan there)."""
     fluxes = np.full((omega.size, len(FLUX_ROWS)), np.nan)
     verdicts = np.full(fluxes.shape, None, dtype=object)
 
@@ -522,12 +513,27 @@ def _flux_grid(p, omega, l, lmax, p_r, channels):
         for row, (values, derivs) in enumerate(specfun._radial_grid(x, lmax)):
             radial = values.ravel(), specfun._cmul(p_r[up], derivs.ravel())
             put(row, up, "minkowski", {"d": p.d}, radial, MINKOWSKI_R)
-        picked = tuple(c[up] for c in channels)
-        fa, dfa, _ = flux._combined_mode(p, omega[up], l[up], lambda: picked)
+        fa, dfa, _ = flux._combined_mode(p, omega[up], l[up], tuple(c[up] for c in channels))
         put(3, up, "ads", p, (fa, dfa), ADS_RHO)
     for channel in (0, 1):
         put(4 + channel, slice(None), "ads", p, channels[2 * channel : 2 * channel + 2], ADS_RHO)
     return fluxes, verdicts
+
+
+def _row_fault(kind, w, l, flux_value, p_r, fault_a, fault_b):
+    """The exception behind the faulted flux-classify row FLUX_ROWS[kind] at (w, l): what
+    radial_basis or radial_basis_deriv raises at a Minkowski row's x, the fault of the
+    channels an AdS row reads (_channel_grid's, a before b), else its non-finite flux's."""
+    spacetime, name = FLUX_ROWS[kind]
+    if spacetime == "minkowski":
+        try:
+            specfun.radial_basis(name, l, p_r * MINKOWSKI_R)
+            specfun.radial_basis_deriv(name, l, p_r * MINKOWSKI_R)
+        except ArithmeticError as exc:
+            return exc
+    elif fault := (fault_a or fault_b, fault_a, fault_b)[kind - 3]:  # combined, a, b
+        return fault
+    return flux._flux_fault(spacetime, w, l, flux_value)
 
 
 def cmd_flux_classify(args):
@@ -536,36 +542,22 @@ def cmd_flux_classify(args):
     header = ["spacetime", "kind", "omega", "l", "flux_per_time", "verdict"]
     mass = math.sqrt(abs(p.Delta * (p.Delta - p.d))) / p.R
     omega, l = _sweep_points(omegas, args.lmax)
-    channels, faults = ads_modes._channel_grid(p, omega, l, ADS_RHO)
-    with np.errstate(over="ignore"):
-        above = omega * omega > mass * mass
-        p_r = np.sqrt(np.where(above, omega * omega - mass * mass, np.nan))
+    channels, (faults_a, faults_b) = ads_modes._channel_grid(p, omega, l, ADS_RHO)
+    with np.errstate(over="ignore"):  # p_r is nan below the mass shell
+        p_r = np.sqrt(np.where(omega * omega > mass * mass, omega * omega - mass * mass, np.nan))
     fluxes, verdicts = _flux_grid(p, omega, l, args.lmax, p_r, channels)
-    present = above[:, None] | (np.arange(len(FLUX_ROWS)) >= 4)
-    # points where the array forms met a fault go through the scalar functions, in
-    # point order, so that the first to raise is the one the scalar loop meets first
-    flagged = (present & np.equal(verdicts, None)).any(axis=1)
-    flagged[list(faults)] = True
-    for i in np.flatnonzero(flagged).tolist():
-
-        def checked(*wanted):
-            """Point i's (S_a, dS_a, S_b, dS_b), raising the failure of the wanted channels
-            that the scalar radial_eval calls meet first: value series before derivatives."""
-            found = [fault for fault in faults.get(i, ()) if fault[1] in wanted]
-            if found:
-                raise min(found)[2]
-            return tuple(c[i].item() for c in channels)
-
-        w, li = omega[i].item(), l[i].item()
-        point = _flux_point(p, w, li, p_r[i].item() if above[i] else None, checked)
-        at = np.flatnonzero(present[i])
-        fluxes[i, at] = [v.flux_per_time for v in point]
-        verdicts[i, at] = [v.verdict for v in point]
-    points, kinds = np.nonzero(present)
+    # the exception behind each faulted row, in row order; then the row's flux is nan
+    at, kind = faulted = np.nonzero(verdicts == "fault")
+    cells = zip(*(c.tolist() for c in (at, kind, omega[at], l[at], fluxes[faulted], p_r[at])))
+    faults = [
+        _row_fault(k, w, li, f, x, faults_a.get(i), faults_b.get(i)) for i, k, w, li, f, x in cells
+    ]
+    fluxes[faulted] = np.nan
+    points, kinds = np.nonzero(np.not_equal(verdicts, None))  # the rows present
     columns = (kinds, omega[points], l[points], fluxes[points, kinds], verdicts[points, kinds])
     rows = [[*FLUX_ROWS[k], w, li, f, v] for k, w, li, f, v in zip(*(c.tolist() for c in columns))]
     write_rows(header, rows, args.format, args.out)
-    return EXIT_OK
+    return _report_faults(faults) or EXIT_OK
 
 
 # ----------------------------------------------------------------- interface

@@ -10,7 +10,7 @@ One rule, two drivers: mode_flux's prefactors, Wronskian, non-finite
 fault and standing test, and the combined mode, are stated once for
 floats and for arrays over a grid of (omega, l) points (specfun's _FLOAT
 and _ARRAY operations); the array results match the float ones bit for
-bit, with a None verdict where the float form raises.
+bit, with the verdict "fault" where the float form raises.
 """
 
 import math
@@ -117,7 +117,7 @@ def mode_flux(spacetime, p, omega, l, radial, rho=None):
 
     Over arrays omega and l, with f and df arrays of their shape, it
     returns arrays: the fluxes, bit for bit those of each point, and the
-    verdicts, None where the point's float form raises (the flux or
+    verdicts, "fault" where the point's float form raises (the flux or
     |f||f'| is not finite).
     """
     if isinstance(omega, np.ndarray):
@@ -148,13 +148,18 @@ def _mode_flux(spacetime, p, omega, l, radial, rho, ops):
     w = mul(cf.conjugate(), cdf) - mul(cf, cdf.conjugate())  # anti-Hermitian, purely imaginary
     flux = mul(pref, w).real
     if ops is _FLOAT and not math.isfinite(flux):
-        raise ConvergenceError(f"{spacetime} flux at omega = {omega}, l = {l} is {flux}")
+        raise _flux_fault(spacetime, omega, l, flux)
     size = ops.abs(f) * ops.abs(df)
     standing = abs(flux) <= STANDING_TOL * ops.fmax(1.0, abs(omega) * ops.fmax(size, 1e-300))
     verdict = _VERDICTS[2 * standing + (flux > 0)]
     if ops is _ARRAY:
-        verdict[~np.isfinite(flux) | np.isnan(size)] = None
+        verdict[~np.isfinite(flux) | np.isnan(size)] = "fault"
     return DirectionVerdict(verdict, flux)
+
+
+def _flux_fault(spacetime, omega, l, flux):
+    """The error of a flux that is not finite, at a point (omega, l) of floats."""
+    return ConvergenceError(f"{spacetime} flux at omega = {omega}, l = {l} is {flux}")
 
 
 def ads_combined_mode(p, omega, l, rho):
@@ -166,29 +171,24 @@ def ads_combined_mode(p, omega, l, rho):
     spherical-Neumann sign (negative leading coefficient), matching its
     flat limit.  Returns (f, df, p_r); its flux is 4 omega R^(d-1)/p_r.
     """
-    return _combined_mode(p, omega, l, lambda: _radial_point(p, omega, l, rho))
+    return _combined_mode(p, omega, l, _radial_point(p, omega, l, rho))
 
 
+@np.errstate(all="ignore")  # array faults are nan and inf
 def _combined_mode(p, omega, l, channels):
-    """ads_combined_mode with (S_a, dS_a, S_b, dS_b) from channels(), called once p_r is known.
+    """ads_combined_mode from the channels (S_a, dS_a, S_b, dS_b) at (omega, l).
 
-    Over arrays omega and l (ints), with channels() giving arrays, f and df are
+    Over arrays omega and l (ints), with arrays for channels, f and df are
     arrays, nan or inf where the float form raises.
     """
-    if isinstance(omega, np.ndarray):
-        with np.errstate(all="ignore"):  # faults are nan and inf
-            return _combined(p, omega, l, channels, _ARRAY)
-    return _combined(p, omega, l, channels, _FLOAT)
-
-
-def _combined(p, omega, l, channels, ops):
+    ops = _ARRAY if isinstance(omega, np.ndarray) else _FLOAT
     m_sq = p.Delta * (p.Delta - p.d) / (p.R * p.R)
     p_r = ops.sqrt(abs(omega * omega - m_sq))
     if ops is _FLOAT and p_r == 0.0:
         raise ValueError("combined mode needs omega^2 distinct from the mass squared")
     f_a = ops.pow(p_r, l) / ops.double_factorial(2 * l + p.d - 2)
     f_b = ops.double_factorial(2 * l + p.d - 4) / ops.pow(p_r, l + 1)
-    sa, dsa, sb, dsb = channels()
+    sa, dsa, sb, dsb = channels
     i_f_b = ops.mul(1j, f_b)
     return f_a * sa + ops.mul(i_f_b, -sb), f_a * dsa + ops.mul(i_f_b, -dsb), p_r
 

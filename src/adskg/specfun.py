@@ -266,7 +266,7 @@ _FLOAT = SimpleNamespace(
     log=math.log, sin=math.sin, exp=math.exp, pow=operator.pow, abs=abs,
     sqrt=math.sqrt, fmax=max, any=bool, sort=sorted, where=lambda c, a, b: a if c else b,
     mul=operator.mul, complex=complex, double_factorial=double_factorial,
-    log_gamma=_log_gamma_float, round=_round_finite,
+    log_gamma=_log_gamma_float, round=_round_finite, not_=operator.not_, isfinite=math.isfinite,
 )
 _ARRAY = SimpleNamespace(
     log=functools.partial(_libm, math.log),
@@ -285,6 +285,7 @@ _ARRAY = SimpleNamespace(
     double_factorial=_double_factorials,
     round=np.rint,
     log_gamma=_log_gamma_grid,
+    not_=np.logical_not, isfinite=np.isfinite,
 )
 
 
@@ -365,23 +366,26 @@ def _hyp2f1_poles(c, z, ops):
     return _near_pole(c, ops)
 
 
-def _hyp2f1_fault(a, b, c, z, k=None):
-    """The error of a failing series: c at a pole (k None), terms growing at
-    step k, or the term cap (k = _HYP_MAX_TERMS)."""
+def _hyp2f1_fault(a, b, c, z, k=None, total=None):
+    """The error of a failing series: c at a pole (k None), the term cap (k =
+    _HYP_MAX_TERMS), or a stop at step k on a non-finite total or a growing term."""
     if k is None:
         return PoleError(f"hyp2f1 parameter c = {c} is at a series pole")
     if k == _HYP_MAX_TERMS:
         return ConvergenceError(f"hyp2f1({a},{b};{c};{z}) hit the {k}-term cap")
+    if not math.isfinite(total):
+        return ConvergenceError(f"hyp2f1({a},{b};{c};{z}) sums to {total} after {k} steps")
     return ConvergenceError(f"hyp2f1({a},{b};{c};{z}) terms not decreasing after {k} steps")
 
 
 def _hyp2f1_sum(a, b, c, z, term, ops, retire):
     """Sum the 2F1 series for floats or arrays a, b, c; None at the term cap.
 
-    When term k stops some elements, retire(k, total, done, growing) gives the mask of
-    those that go on, or None to end with this total.  done: the term is zero or below
-    the tail tolerance.  growing (never with done): past the parameter scale the terms
-    should decrease, and this one exceeds the last and 1e6 times the total.
+    When term k stops some elements, retire(k, total, done, failed) gives the mask of
+    those that go on, or None to end with this total.  A term not above the tail
+    tolerance (a zero, nan or inf one) stops its element: done on a finite total, else
+    failed.  So does a growing term (failed): past the parameter scale the terms should
+    decrease, and this one exceeds the last and 1e6 times the total.
     """
     fmax, stops, total = ops.fmax, ops.any, term
     for k in range(_HYP_MAX_TERMS):
@@ -389,11 +393,12 @@ def _hyp2f1_sum(a, b, c, z, term, ops, retire):
         total = total + new  # a zero term leaves the total as it was
         size = abs(new)
         scale = fmax(1.0, abs(total))
-        done = (new == 0.0) | (size <= _HYP_TAIL * scale)
+        done = ops.not_(size > _HYP_TAIL * scale)
         growing = k > 30 and z > 0.0 and (size > abs(term)) & (size > 1e6 * scale)
         term = new
         if stops(done | growing):
-            keep = retire(k, total, done, growing)
+            finite = ops.isfinite(total)
+            keep = retire(k, total, done & finite, growing | done & ops.not_(finite))
             if keep is None:
                 return total
             a, b, c, term, total = a[keep], b[keep], c[keep], term[keep], total[keep]
@@ -405,14 +410,15 @@ def hyp2f1(a, b, c, z):
 
     Restricted to 0 <= z <= 0.95; c must stay away from nonpositive
     integers.  Terminating cases (a or b a nonpositive integer) are
-    summed exactly to the terminating index.
+    summed exactly to the terminating index.  A series whose terms grow,
+    or whose total is not finite, raises ConvergenceError.
     """
     if _hyp2f1_poles(c, z, _FLOAT):
         raise _hyp2f1_fault(a, b, c, z)
 
-    def retire(k, total, done, growing):
-        if growing:
-            raise _hyp2f1_fault(a, b, c, z, k)
+    def retire(k, total, done, failed):
+        if failed:
+            raise _hyp2f1_fault(a, b, c, z, k, total)
 
     total = _hyp2f1_sum(a, b, c, z, 1.0, _FLOAT, retire)
     if total is None:
@@ -433,12 +439,12 @@ def _hyp2f1_grid(a, b, c, z):
     faults = {i: _hyp2f1_fault(a[i], b[i], c.item(i), z) for i in np.flatnonzero(pole).tolist()}
     active = np.flatnonzero(~pole)
 
-    def retire(k, total, done, growing):
+    def retire(k, total, done, failed):
         nonlocal active
         out[active[done]] = total[done]
-        for i in active[np.flatnonzero(growing)].tolist():
-            faults[i] = _hyp2f1_fault(a.item(i), b.item(i), c.item(i), z, k)
-        keep = ~(done | growing)
+        for i, t in zip(active[failed].tolist(), total[failed].tolist()):
+            faults[i] = _hyp2f1_fault(a.item(i), b.item(i), c.item(i), z, k, t)
+        keep = ~(done | failed)
         active = active[keep]
         return keep if active.size else None
 

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import io
 import json
 import math
 import pathlib
@@ -253,11 +254,20 @@ class TestFluxClassify:
         assert {"h1", "combined", "channel_a"} <= kinds
 
     def test_non_finite_flux_exits_numeric(self, capsys):
-        # the radial series overflow at omega = 3000 without a series fault
+        # the radial series overflow at omega = 3000: each AdS row is a fault naming the
+        # 2F1 series of its channel, and the Minkowski rows keep their values
         rc = cli.main(["flux-classify", "--omega", "3000:3001:1", "--lmax", "2"])
         out, err = capsys.readouterr()
-        assert (rc, out) == (cli.EXIT_NUMERIC, "")
-        assert err == "numeric error: ads flux at omega = 3000.0, l = 0 is nan\n"
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rc == cli.EXIT_NUMERIC and len(rows) == 2 * 3 * 6
+        for row in rows:
+            faulted = row["spacetime"] == "ads"
+            assert (row["verdict"] == "fault") == faulted
+            assert math.isnan(float(row["flux_per_time"])) == faulted
+        lines = err.splitlines()
+        assert lines[0] == "numeric error: hyp2f1(-1497.9,1502.1;1.5;0.41501642854987947) sums to -inf after 114 steps"
+        assert all(line.startswith("numeric error: hyp2f1(") for line in lines)
+        assert len(lines) == len(set(lines))
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -273,7 +283,29 @@ class TestFluxClassify:
     )
     def test_overflow_names_its_cause(self, argv, message, capsys):
         rc = cli.main(["flux-classify"] + argv)
-        assert (rc, capsys.readouterr()) == (cli.EXIT_NUMERIC, ("", f"numeric error: {message}\n"))
+        out, err = capsys.readouterr()
+        assert rc == cli.EXIT_NUMERIC and ",fault\n" in out
+        assert err.startswith(f"numeric error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, faulted",
+        [
+            (["flux-classify", "--d", "4", "--omega", "2:3:0.5"], ("verdict", "flux_per_time")),
+            (["candidate-sweep", "--delta", "3.0", "--omega", "0:4:0.5", "--candidates", "3"], ("sign_jab", "jab")),
+        ],
+    )
+    def test_faulted_run_writes_every_row(self, argv, faulted, tmp_path, capsys):
+        # --out is written on exit 3 too; JSON spells a faulted row's value NaN
+        out = tmp_path / "rows.json"
+        assert cli.main(argv + ["--format", "json", "--out", str(out)]) == cli.EXIT_NUMERIC
+        text = out.read_text()
+        rows = json.loads(text)
+        label, value = faulted
+        bad = [row for row in rows if row[label] == "fault"]
+        assert 0 < len(bad) < len(rows)
+        assert all(math.isnan(row[value]) for row in bad)
+        assert f'"{value}": NaN' in text
+        assert capsys.readouterr().err.startswith("numeric error: ")
 
 
 class TestHarmonicsTable:

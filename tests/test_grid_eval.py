@@ -2,9 +2,12 @@
 
 candidate-sweep, flux-classify and candidate_jfactors evaluate whole
 (omega, l) grids in array form.  The scalar functions stay as the
-reference: every value must match them bit for bit (compared through
-repr, which tells -0.0 and every float apart), and every failure must be
-the one the scalar scan meets first, with the same message.
+reference, row by row: a sweep row is a fault exactly where they raise
+for it, every other row matches them bit for bit (compared through repr,
+which tells -0.0 and every float apart), and stderr names the exception
+of each faulted row once, in row order, so its first line is what the
+point-by-point scan meets first.  candidate_jfactors still raises the
+first fault.
 """
 
 import json
@@ -92,14 +95,27 @@ class TestHyp2F1Grid:
             specfun._hyp2f1_grid(a, b, c, 0.5)[1][60]
         )
 
-    def test_term_cap(self):
-        # nan terms neither stop the series nor trip the not-decreasing check
-        args = (math.nan, 1.0, 1.0, 0.9)
-        ref = scalar_or_error(specfun.hyp2f1, *args)
-        values, faults = specfun._hyp2f1_grid(*(np.array([v, 0.5]) for v in args[:3]), args[3])
-        assert "10000-term cap" in str(ref)
+    def test_term_cap(self, monkeypatch):
+        # 1/(1 - z) at z = 0.9 needs about 260 terms; a terminating series needs 4
+        monkeypatch.setattr(specfun, "_HYP_MAX_TERMS", 50)
+        a, b, c = np.array([1.0, -3.0]), np.array([1.0, 1.0]), np.array([1.0, 1.0])
+        ref = scalar_or_error(specfun.hyp2f1, 1.0, 1.0, 1.0, 0.9)
+        values, faults = specfun._hyp2f1_grid(a, b, c, 0.9)
+        assert isinstance(ref, ConvergenceError) and "50-term cap" in str(ref)
         assert_same(faults[0], ref)
-        assert_same(values[1].item(), specfun.hyp2f1(0.5, 0.5, 0.5, 0.9))
+        assert math.isnan(values[0]) and list(faults) == [0]
+        assert_same(values[1].item(), specfun.hyp2f1(-3.0, 1.0, 1.0, 0.9))
+
+    def test_non_finite_term_is_a_fault_at_once(self):
+        # a nan term stops its series at the first step; an infinite total is no value
+        a, b, c = (np.array(v) for v in ([math.nan, 100.0, 0.5], [1.0, 100.0, 0.5], [1.0, 1.0, 0.5]))
+        values, faults = specfun._hyp2f1_grid(a, b, c, 0.95)
+        for i in range(3):
+            ref = scalar_or_error(specfun.hyp2f1, a[i].item(), b[i].item(), c[i].item(), 0.95)
+            assert_same(faults[i] if i in faults else values[i].item(), ref)
+        assert str(faults[0]) == "hyp2f1(nan,1.0;1.0;0.95) sums to nan after 0 steps"
+        assert str(faults[1]).startswith("hyp2f1(100.0,100.0;1.0;0.95) sums to inf after ")
+        assert list(faults) == [0, 1]
 
     def test_domain(self):
         with pytest.raises(ValueError, match="restricted to z"):
@@ -121,18 +137,35 @@ def test_hankel_sums_bit_equal_to_a_coeff_sums():
 
 
 def reference_sweep(p, omegas, lmax, which_list):
-    """candidate-sweep's rows and worst residual, by the scalar loop."""
-    rows, worst = [], 0.0
+    """candidate-sweep's rows, the exceptions of its faulted rows and its worst residual,
+    by the scalar loop: a row faults where its value or either boost residual raises."""
+    rows, faults, worst = [], [], 0.0
     for which in which_list:
         jab = lambda w, ll: acs.candidate_jab(which, p, w, ll)
         for w in omegas:
             for l in range(lmax + 1):
-                val = jab(w, l)
-                rm, rp = acs.boost_recurrence_residual(p, jab, w, l)
+                try:
+                    val = jab(w, l)
+                    rm, rp = acs.boost_recurrence_residual(p, jab, w, l)
+                except (PoleError, OverflowError) as exc:
+                    rows.append([which, w, l, math.nan, "fault", math.nan, math.nan])
+                    faults.append(exc)
+                    continue
                 scale = max(abs(val), 1e-300)
                 worst = max(worst, rm / scale, rp / scale)
                 rows.append([which, w, l, float(val), int(math.copysign(1.0, val)), rm / scale, rp / scale])
-    return rows, worst
+    return rows, faults, worst
+
+
+def fault_lines(faults):
+    """stderr's numeric error lines: each distinct message once, in row order."""
+    return "".join(f"numeric error: {m}\n" for m in dict.fromkeys(map(str, faults)))
+
+
+def sweep_outcome(faults, worst, tolerance=1e-10):
+    """(exit code, stderr) of a candidate-sweep with these faults and worst residual."""
+    rc = cli.EXIT_NUMERIC if faults else cli.EXIT_OK if worst <= tolerance else cli.EXIT_INVARIANT
+    return rc, fault_lines(faults) + f"worst relative boost residual: {worst:.3e}\n"
 
 
 def as_text(rows):
@@ -150,13 +183,9 @@ class TestCandidateSweep:
         for which in (1, 2, 3, 4):
             argv = ["candidate-sweep", "--d", str(d), "--delta", repr(delta), "--lmax", "4"]
             rc, rows, err = run_cli(argv + [f"--omega={omega}", "--candidates", str(which)], monkeypatch, capsys)
-            try:
-                ref_rows, worst = reference_sweep(p, omegas, 4, [which])
-            except (PoleError, OverflowError) as exc:
-                assert (rc, rows, err) == (cli.EXIT_NUMERIC, None, f"numeric error: {exc}\n")
-                continue
+            ref_rows, faults, worst = reference_sweep(p, omegas, 4, [which])
             assert as_text(rows) == as_text(ref_rows)
-            assert err == f"worst relative boost residual: {worst:.3e}\n"
+            assert (rc, err) == sweep_outcome(faults, worst)
 
     def test_all_candidates_in_one_run(self, monkeypatch, capsys):
         p = ads_modes.AdSParams(5, 3.7)
@@ -170,13 +199,14 @@ class TestCandidateSweep:
     @pytest.mark.parametrize("delta, which, omega", [(4.0, 2, "-3:3:0.5"), (3.0, 3, "0:4:0.5")])
     def test_pole_is_the_scalar_scans_first(self, delta, which, omega, monkeypatch, capsys):
         p = ads_modes.AdSParams(3, delta)
-        with pytest.raises(PoleError) as exc:
-            reference_sweep(p, cli.parse_omega_range(omega), 3, [which])
+        ref_rows, faults, worst = reference_sweep(p, cli.parse_omega_range(omega), 3, [which])
         argv = ["candidate-sweep", "--delta", repr(delta), f"--omega={omega}", "--lmax", "3"]
         rc, rows, err = run_cli(argv + ["--candidates", str(which)], monkeypatch, capsys)
-        assert (rc, rows) == (cli.EXIT_NUMERIC, None)
-        assert err == f"numeric error: {exc.value}\n"
-        assert err.startswith("numeric error: Gamma pole at argument ")
+        assert as_text(rows) == as_text(ref_rows)
+        assert (rc, err) == sweep_outcome(faults, worst)
+        # the first line is the scalar scan's first fault
+        assert err.startswith(f"numeric error: {faults[0]}\n")
+        assert str(faults[0]).startswith("Gamma pole at argument ") and 0 < len(faults) < len(rows)
 
 
 def test_candidate_jfactors_table_bit_equal():
@@ -198,76 +228,105 @@ def test_candidate_jfactors_pole_is_the_first_key():
     assert str(exc.value) == str(first)
 
 
+def scalar_flux_row(p, kind, w, l, p_r):
+    """The DirectionVerdict of one flux-classify row (cli.FLUX_ROWS name kind) by the
+    scalar functions, or the exception they raise.  A combined row takes channel a's
+    fault before channel b's."""
+    try:
+        if kind in ("h1", "j", "n"):
+            f = specfun.radial_basis(kind, l, p_r * 6.0)
+            df = p_r * specfun.radial_basis_deriv(kind, l, p_r * 6.0)
+            return flux.mode_flux("minkowski", {"d": p.d}, w, l, (f, df), rho=6.0)
+        if kind == "combined":
+            channels = [f(p, w, l, c, 0.7) for c in "ab" for f in (ads_modes.radial_eval, ads_modes.radial_eval_deriv)]
+            try:
+                fa, dfa, _ = flux.ads_combined_mode(p, w, l, 0.7)
+            except ArithmeticError:
+                return combined_flux_fault(p, w, l, channels)
+            return flux.mode_flux("ads", p, w, l, (fa, dfa), rho=0.7)
+        channel = kind[-1]
+        fr = ads_modes.radial_eval(p, w, l, channel, 0.7)
+        dfr = ads_modes.radial_eval_deriv(p, w, l, channel, 0.7)
+        return flux.mode_flux("ads", p, w, l, (fr, dfr), rho=0.7)
+    except ArithmeticError as exc:
+        return exc
+
+
+def combined_flux_fault(p, w, l, channels):
+    """The fault of a combined row whose float form raises on its own, past its channels
+    (p_r^(l + 1) underflows to 0 next to the shell, a ZeroDivisionError): the row names
+    its flux, which the array form gives."""
+    at = np.array([w]), np.array([l])
+    fa, dfa, _ = flux._combined_mode(p, *at, tuple(np.array([c]) for c in channels))
+    value = flux.mode_flux("ads", p, *at, (fa, dfa), rho=0.7).flux_per_time.item()
+    return flux._flux_fault("ads", w, l, value)
+
+
 def reference_flux(p, omegas, lmax):
-    """flux-classify's rows by the scalar loop."""
-    rows = []
+    """flux-classify's rows and the exceptions of its faulted rows, by the scalar loop."""
+    rows, faults = [], []
     mass = math.sqrt(abs(p.Delta * (p.Delta - p.d))) / p.R
     for w in omegas:
         for l in range(lmax + 1):
-            if w * w > mass * mass:
-                p_r = math.sqrt(w * w - mass * mass)
-                for kind in ("h1", "j", "n"):
-                    f = specfun.radial_basis(kind, l, p_r * 6.0)
-                    df = p_r * specfun.radial_basis_deriv(kind, l, p_r * 6.0)
-                    v = flux.mode_flux("minkowski", {"d": p.d}, w, l, (f, df), rho=6.0)
-                    rows.append(["minkowski", kind, w, l, v.flux_per_time, v.verdict])
-                fa, dfa, _ = flux.ads_combined_mode(p, w, l, 0.7)
-                v = flux.mode_flux("ads", p, w, l, (fa, dfa), rho=0.7)
-                rows.append(["ads", "combined", w, l, v.flux_per_time, v.verdict])
-            for channel in ("a", "b"):
-                fr = ads_modes.radial_eval(p, w, l, channel, 0.7)
-                dfr = ads_modes.radial_eval_deriv(p, w, l, channel, 0.7)
-                v = flux.mode_flux("ads", p, w, l, (fr, dfr), rho=0.7)
-                rows.append(["ads", f"channel_{channel}", w, l, v.flux_per_time, v.verdict])
-    return rows
+            p_r = math.sqrt(w * w - mass * mass) if w * w > mass * mass else None
+            for spacetime, kind in cli.FLUX_ROWS[0 if p_r else 4 :]:
+                v = scalar_flux_row(p, kind, w, l, p_r)
+                if isinstance(v, Exception):
+                    rows.append([spacetime, kind, w, l, math.nan, "fault"])
+                    faults.append(v)
+                else:
+                    rows.append([spacetime, kind, w, l, v.flux_per_time, v.verdict])
+    return rows, faults
+
+
+def assert_flux_run_is_the_scalar_loops(argv, monkeypatch, capsys):
+    """Run flux-classify: every row, the exit code and stderr are the scalar loop's.
+    Returns the reference rows and the exceptions of the faulted ones."""
+    tokens = [token for arg in argv for token in arg.split("=", 1)]
+    settings = dict(zip(tokens[::2], tokens[1::2]))
+    p = ads_modes.AdSParams(int(settings.get("--d", 3)), float(settings.get("--delta", 4.2)))
+    omegas = [w for w in cli.parse_omega_range(settings["--omega"]) if w != 0.0]
+    ref_rows, faults = reference_flux(p, omegas, int(settings.get("--lmax", 3)))
+    rc, rows, err = run_cli(["flux-classify"] + argv, monkeypatch, capsys)
+    assert as_text(rows) == as_text(ref_rows)
+    assert (rc, err) == (cli.EXIT_NUMERIC if faults else cli.EXIT_OK, fault_lines(faults))
+    return ref_rows, faults
 
 
 class TestFluxClassify:
     @pytest.mark.parametrize("d, delta", [(3, 4.2), (3, 1.7), (5, 3.1), (5, 6.45), (7, 3.5)])
     def test_rows_equal_scalar_loop(self, d, delta, monkeypatch, capsys):
         # the grids straddle the mass shell sqrt|Delta (Delta - d)|
-        omega = "-4:9:0.35"
-        argv = ["flux-classify", "--d", str(d), "--delta", repr(delta), f"--omega={omega}", "--lmax", "6"]
-        rc, rows, _ = run_cli(argv, monkeypatch, capsys)
-        p = ads_modes.AdSParams(d, delta)
-        omegas = [w for w in cli.parse_omega_range(omega) if w != 0.0]
-        ref = reference_flux(p, omegas, 6)
-        assert rc == cli.EXIT_OK
+        argv = ["--d", str(d), "--delta", repr(delta), "--omega=-4:9:0.35", "--lmax", "6"]
+        ref, faults = assert_flux_run_is_the_scalar_loops(argv, monkeypatch, capsys)
+        assert not faults
         assert {row[1] for row in ref} == {"h1", "j", "n", "combined", "channel_a", "channel_b"}
-        assert as_text(rows) == as_text(ref)
 
     @pytest.mark.parametrize("d, omega", [(4, "0.5:3:0.5"), (6, "0.1:0.3:0.1"), (6, "9:10:0.5")])
     def test_even_d_channel_b_pole(self, d, omega, monkeypatch, capsys):
-        p = ads_modes.AdSParams(d, 4.2)
-        with pytest.raises(PoleError) as exc:
-            reference_flux(p, [w for w in cli.parse_omega_range(omega) if w], 2)
-        rc, rows, err = run_cli(["flux-classify", "--d", str(d), "--omega", omega], monkeypatch, capsys)
-        assert (rc, rows) == (cli.EXIT_NUMERIC, None)
-        assert err == f"numeric error: {exc.value}\n"
-        assert f"is a nonpositive integer (even d = {d})" in err
+        _, faults = assert_flux_run_is_the_scalar_loops(["--d", str(d), "--omega", omega], monkeypatch, capsys)
+        # every point's channel_b and combined rows fault; the rest have their values
+        assert all(isinstance(exc, PoleError) for exc in faults)
+        assert f"is a nonpositive integer (even d = {d})" in str(faults[0])
 
     def test_not_decreasing_series_names_its_point(self, monkeypatch, capsys):
         # channel b at omega = 80, l = 34 trips the not-decreasing check
         p = ads_modes.AdSParams(3, 45.1208390683)
-        omegas = cli.parse_omega_range("79:81:0.5")
         ref = scalar_or_error(ads_modes.radial_eval, p, 80.0, 34, "b", 0.7)
         assert isinstance(ref, ConvergenceError) and "not decreasing" in str(ref)
-        with pytest.raises(ConvergenceError) as exc:
-            reference_flux(p, omegas, 36)
-        assert str(exc.value) == str(ref)
-        argv = ["flux-classify", "--d", "3", "--delta", "45.1208390683", "--omega", "79:81:0.5", "--lmax", "36"]
-        rc, rows, err = run_cli(argv, monkeypatch, capsys)
-        assert (rc, rows, err) == (cli.EXIT_NUMERIC, None, f"numeric error: {ref}\n")
-        omega, l = cli._sweep_points(omegas, 36)
-        _, faults = ads_modes._channel_grid(p, omega, l, 0.7)
+        argv = ["--d", "3", "--delta", "45.1208390683", "--omega", "79:81:0.5", "--lmax", "36"]
+        _, faults = assert_flux_run_is_the_scalar_loops(argv, monkeypatch, capsys)
+        assert [str(exc) for exc in faults] == [str(ref)] * 2  # the combined and channel_b rows
+        omega, l = cli._sweep_points(cli.parse_omega_range("79:81:0.5"), 36)
+        _, (faults_a, faults_b) = ads_modes._channel_grid(p, omega, l, 0.7)
         point = int(np.flatnonzero((omega == 80.0) & (l == 34))[0])
-        assert [(stage, channel, str(e)) for stage, channel, e in faults[point]] == [(0, 1, str(ref))]
+        assert not faults_a and list(faults_b) == [point] and str(faults_b[point]) == str(ref)
 
     def test_channel_grid_bit_equal_to_radial_eval(self):
         p = ads_modes.AdSParams(5, 3.3)
         omega, l = cli._sweep_points([-7.5, -0.3, 0.0, 1.1, 12.25], 8)
         channels, faults = ads_modes._channel_grid(p, omega, l, 1.2)
-        assert not faults
+        assert faults == ({}, {})
         for i, (w, ll) in enumerate(zip(omega.tolist(), l.tolist())):
             ref = [
                 f(p, w, ll, channel, 1.2)
@@ -280,7 +339,9 @@ class TestFluxClassify:
 @pytest.fixture(scope="module")
 def roadmap_flux_rows():
     """The scalar loop's rows of the ROADMAP grid flux-classify --omega 1:20:0.1 --lmax 10."""
-    return reference_flux(ads_modes.AdSParams(3, 4.2), cli.parse_omega_range("1:20:0.1"), 10)
+    rows, faults = reference_flux(ads_modes.AdSParams(3, 4.2), cli.parse_omega_range("1:20:0.1"), 10)
+    assert not faults
+    return rows
 
 
 HEADER = ["spacetime", "kind", "omega", "l", "flux_per_time", "verdict"]
@@ -354,17 +415,11 @@ def test_radial_grid_n_series_overflow_is_a_fault_of_j_and_n():
     assert repr(n[1].item()) == repr(specfun.radial_basis("n", 12, 0.5))
 
 
-def expected_outcome(ref):
-    """(exit code, stderr) of cli.main for the exception the scalar loop raises."""
-    if isinstance(ref, ValueError):
-        return cli.EXIT_CONFIG, f"config error: {ref}\n"
-    return cli.EXIT_NUMERIC, f"numeric error: {ref}\n"
-
-
-# Each grid fails; the first fault is, in turn: channel b's pole at a point above the
-# shell (after its Minkowski rows), a nan ads flux at l = 0, a nan combined flux at
-# l = 21 next to the shell, an x^2 overflow in the l = 0 h1 derivative (a Minkowski row
-# first), and an a_k(l + 1/2) beyond the float range from l = 86 on (h1 value).
+# Each grid faults; the first fault is, in turn: channel b's pole at a point above the
+# shell (after its Minkowski rows), channel a's value series summing to -inf at l = 0,
+# a nan combined flux at l = 21 next to the shell, an x^2 overflow in the l = 0 h1
+# derivative (a Minkowski row first), and an a_k(l + 1/2) beyond the float range from
+# l = 86 on (h1 value).
 FAULT_GRIDS = [
     ["--d", "4", "--omega", "2:3:0.5"],
     ["--omega", "3000:3001:1"],
@@ -376,19 +431,13 @@ FAULT_GRIDS = [
 
 @pytest.mark.parametrize("argv", FAULT_GRIDS, ids=lambda argv: " ".join(argv))
 def test_fault_is_the_scalar_loops_first(argv, monkeypatch, capsys):
-    settings = dict(zip(argv[::2], argv[1::2]))
-    p = ads_modes.AdSParams(int(settings.get("--d", 3)), float(settings.get("--delta", 4.2)))
-    omegas = [w for w in cli.parse_omega_range(settings["--omega"]) if w != 0.0]
-    ref = value_or_error(reference_flux, p, omegas, int(settings.get("--lmax", 3)))
-    assert isinstance(ref, Exception)
-    rc, rows, err = run_cli(["flux-classify"] + argv, monkeypatch, capsys)
-    assert (rc, rows) == (expected_outcome(ref)[0], None)
-    assert err == expected_outcome(ref)[1]
+    _, faults = assert_flux_run_is_the_scalar_loops(argv, monkeypatch, capsys)
+    assert faults
 
 
 def test_n_series_overflow_point_fails_as_the_scalar_loop():
     # where the n series overflows, |h1| = |j + i n| is as large, so the h1 row's flux
-    # overflows first: the array pass flags the point, and the scalar rows raise that
+    # overflows: all three Minkowski rows fault, h1 naming its flux and j and n the series
     p = ads_modes.AdSParams(3, 4.0)
     mass = 2.0
     w = math.sqrt(mass * mass + (1e-3 / 6.0) ** 2)
@@ -400,9 +449,14 @@ def test_n_series_overflow_point_fails_as_the_scalar_loop():
     assert n_overflows
     fluxes, verdicts = cli._flux_grid(p, omega, l, 120, p_r, channels)
     first = n_overflows[0]
-    assert verdicts[first, 1] is None and verdicts[first, 2] is None
-    ref = scalar_or_error(cli._flux_point, p, w, first, p_r[first].item(), lambda *c: tuple(v[first].item() for v in channels))
-    assert isinstance(ref, ConvergenceError) and str(ref).startswith(f"minkowski flux at omega = {w}, l = {first} is")
+    refs = []
+    for kind, name in enumerate(("h1", "j", "n")):
+        refs.append(scalar_flux_row(p, name, w, first, p_r[first].item()))
+        assert verdicts[first, kind] == "fault"
+        got = cli._row_fault(kind, w, first, fluxes[first, kind].item(), p_r[first].item(), None, None)
+        assert_same(got, refs[-1])
+    assert str(refs[0]).startswith(f"minkowski flux at omega = {w}, l = {first} is")
+    assert str(refs[1]) == str(refs[2]) == f"n_{first} overflows at x = {x}"
 
 
 def test_mode_flux_standing_threshold_for_floats_and_arrays():
@@ -412,11 +466,11 @@ def test_mode_flux_standing_threshold_for_floats_and_arrays():
     omega, l = np.ones(len(eps)), np.zeros(len(eps), dtype=int)
     f, df = np.ones(len(eps)), np.array([complex(1.0, e) for e in eps])
     grid = flux.mode_flux("minkowski", {"d": 3}, omega, l, (f, df), rho=1.0)
-    assert grid.verdict.tolist() == ["standing", "outgoing", "incoming", "standing", None]
+    assert grid.verdict.tolist() == ["standing", "outgoing", "incoming", "standing", "fault"]
     for i, e in enumerate(eps):
         ref = scalar_or_error(flux.mode_flux, "minkowski", {"d": 3}, 1.0, 0, (1.0, complex(1.0, e)), 1.0)
         if isinstance(ref, Exception):
-            assert isinstance(ref, ConvergenceError) and grid.verdict[i] is None
+            assert isinstance(ref, ConvergenceError) and grid.verdict[i] == "fault"
         else:
             assert (ref.verdict, repr(ref.flux_per_time)) == (grid.verdict[i], repr(grid.flux_per_time[i].item()))
 
@@ -447,7 +501,9 @@ SWEEP_HEADER = ["candidate", "omega", "l", "jab", "sign_jab", "res_minus", "res_
 def roadmap_sweep():
     """The scalar loop's rows and worst residual of the ROADMAP grid, all four candidates."""
     omegas = cli.parse_omega_range("0.05:20:0.1")
-    return reference_sweep(ads_modes.AdSParams(3, 4.2), omegas, 10, [1, 2, 3, 4])
+    rows, faults, worst = reference_sweep(ads_modes.AdSParams(3, 4.2), omegas, 10, [1, 2, 3, 4])
+    assert not faults
+    return rows, worst
 
 
 @pytest.mark.parametrize("out_format", ["csv", "json"])
@@ -474,34 +530,45 @@ SHARED_POLE_GRID = ["--delta", "4.2", "--omega", "1.3:5.3:0.5", "--lmax", "2"]
 @pytest.mark.parametrize("order", [[1], [1, 2], [2, 1], [2, 4], [4, 2], [1, 4, 2], [4, 4, 1]])
 def test_shared_gamma_pass_faults_in_candidate_order(order, monkeypatch, capsys):
     # the candidates share one Gamma table, yet each meets only its own arguments' faults,
-    # and the first candidate in --candidates order that fails is the one reported
+    # and stderr names them in --candidates order
     p = ads_modes.AdSParams(3, 4.2)
     omegas = cli.parse_omega_range("1.3:5.3:0.5")
     argv = ["candidate-sweep"] + SHARED_POLE_GRID + ["--candidates"] + [str(c) for c in order]
     rc, rows, err = run_cli(argv, monkeypatch, capsys)
-    ref = value_or_error(reference_sweep, p, omegas, 2, order)
-    if isinstance(ref, Exception):
-        assert isinstance(ref, PoleError)
-        assert (rc, rows, err) == (cli.EXIT_NUMERIC, None, f"numeric error: {ref}\n")
-    else:
-        assert order == [1] and rc == cli.EXIT_OK
-        assert as_text(rows) == as_text(ref[0])
-    first = {str(value_or_error(reference_sweep, p, omegas, 2, [c])) for c in (2, 4)}
-    assert len(first) == 2  # candidates 2 and 4 fail with different messages
+    ref_rows, faults, worst = reference_sweep(p, omegas, 2, order)
+    assert as_text(rows) == as_text(ref_rows)
+    assert (rc, err) == sweep_outcome(faults, worst)
+    assert all(isinstance(exc, PoleError) for exc in faults)
+    assert (rc == cli.EXIT_OK) == (order == [1])
+    first = {str(reference_sweep(p, omegas, 2, [c])[1][0]) for c in (2, 4)}
+    assert len(first) == 2  # candidates 2 and 4 fail first with different messages
 
 
 def test_exp_overflow_is_the_scalar_loops_first(monkeypatch, capsys):
     # at omega = 1e5 the Gamma ratios pass the float range from l = 44 on: each candidate
-    # fails with math.exp's OverflowError at row 43's neighbours, unless a pole comes first
-    messages = set()
+    # faults with math.exp's OverflowError from row 43 on (its neighbours), unless a pole
+    # comes first
+    firsts = set()
     grids = [["--omega", "1e5:1e5:1"], ["--delta", "4", "--omega", "99999:100000:0.5"]]
     for extra in (grid + ["--lmax", "50"] for grid in grids):
         settings = dict(zip(extra[::2], extra[1::2]))
         p = ads_modes.AdSParams(3, float(settings.get("--delta", 4.2)))
         for order in ([1, 2, 3, 4], [3, 1]):
-            ref = value_or_error(reference_sweep, p, cli.parse_omega_range(settings["--omega"]), 50, order)
+            ref_rows, faults, worst = reference_sweep(p, cli.parse_omega_range(settings["--omega"]), 50, order)
             argv = ["candidate-sweep"] + extra + ["--candidates"] + [str(c) for c in order]
             rc, rows, err = run_cli(argv, monkeypatch, capsys)
-            assert (rc, rows, err) == (cli.EXIT_NUMERIC, None, f"numeric error: {ref}\n")
-            messages.add(str(ref))
-    assert "math range error" in messages and any(m.startswith("Gamma pole") for m in messages)
+            assert as_text(rows) == as_text(ref_rows)
+            assert (rc, err) == sweep_outcome(faults, worst)
+            firsts.add(str(faults[0]))
+    assert "math range error" in firsts and any(m.startswith("Gamma pole") for m in firsts)
+
+
+def test_faulted_sweep_beyond_tolerance_exits_numeric(monkeypatch, capsys):
+    # the clean rows at omega = 1e5 miss the boost recurrences by far more than the
+    # tolerance, and the faulted ones still decide the exit code
+    argv = ["candidate-sweep", "--omega", "1e5:1e5:1", "--lmax", "50", "--candidates", "1"]
+    rc, rows, err = run_cli(argv, monkeypatch, capsys)
+    worst = float(err.rsplit(": ", 1)[1])
+    assert rc == cli.EXIT_NUMERIC and worst > 1e-10
+    assert err.startswith("numeric error: math range error\n")
+    assert 0 < [row[4] for row in rows].count("fault") < len(rows) == 51

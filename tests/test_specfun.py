@@ -221,11 +221,18 @@ class TestHyp2F1:
         with pytest.raises(ValueError):
             hyp2f1(1.0, 1.0, 2.0, 0.97)
 
+    def test_infinite_total_raises(self):
+        # the terms pass the float range, and an infinite total is no value
+        with pytest.raises(ConvergenceError, match=r"hyp2f1\(100,100;1;0.95\) sums to inf after \d+ steps"):
+            hyp2f1(100, 100, 1, 0.95)
+
     @pytest.mark.parametrize(
-        "c, want", [(-math.inf, 1.0), (math.inf, 1.0), (math.nan, "10000-term cap")]
+        "c, want",
+        [(-math.inf, 1.0), (math.inf, 1.0), pytest.param(math.nan, "sums to nan after 0 steps", id="nan")],
     )
     def test_non_finite_c_same_outcome_for_floats_and_arrays(self, c, want):
-        # _near_pole calls no infinite or nan c a pole, for floats and arrays alike
+        # _near_pole calls no infinite or nan c a pole, for floats and arrays alike; a nan
+        # c makes the first term nan, which ends the series at once
         try:
             scalar = hyp2f1(1.0, 1.0, c, 0.5)
         except ConvergenceError as exc:

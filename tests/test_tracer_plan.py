@@ -7,8 +7,10 @@ shows up here rather than only in a traced benchmark run.
 
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 import adskg
 import adskg.cli  # the tracer wraps cli.main and cli.write_rows
@@ -49,21 +51,23 @@ def test_tracer_plan_and_entry_counter(monkeypatch):
 
 def test_traced_sweeps_count_their_rows(monkeypatch, tmp_path):
     # candidate-sweep and flux-classify evaluate their grids in private array
-    # helpers; a traced run must still complete and count the rows it writes
+    # helpers; a traced run must still complete and count the rows it writes,
+    # the rows of a run with faulted rows (exit 3) included
     monkeypatch.syspath_prepend(PERFBENCH)
     import tracing
 
     tracer = tracing.Tracer(adskg)
     argvs = [
-        ["candidate-sweep", "--d", "4", "--delta", "3.37", "--omega", "0.05:2:0.25", "--lmax", "3"],
-        ["flux-classify", "--d", "3", "--omega", "0.5:4:0.5", "--lmax", "2", "--format", "json"],
+        (0, ["candidate-sweep", "--d", "4", "--delta", "3.37", "--omega", "0.05:2:0.25", "--lmax", "3"]),
+        (0, ["flux-classify", "--d", "3", "--omega", "0.5:4:0.5", "--lmax", "2", "--format", "json"]),
+        (3, ["flux-classify", "--d", "4", "--omega", "0.5:3:0.5", "--lmax", "2"]),
     ]
     written = 0
     tracer.install()
     try:
-        for k, argv in enumerate(argvs):
+        for k, (rc, argv) in enumerate(argvs):
             out = tmp_path / f"out{k}"
-            assert adskg.cli.main(argv + ["--out", str(out)]) == 0
+            assert adskg.cli.main(argv + ["--out", str(out)]) == rc
             text = out.read_text()
             written += len(json.loads(text)) if "json" in argv else text.count("\n") - 1
     finally:
@@ -71,3 +75,21 @@ def test_traced_sweeps_count_their_rows(monkeypatch, tmp_path):
     assert written > 0
     assert tracer.counters["cli.rows"] == written
     assert tracer.counters["flux.mode_flux.calls"] > 0
+
+
+def test_benchmark_reads_faulted_sweeps_by_their_first_fault(monkeypatch, capsys):
+    # perfbench classifies a job that exits 3 by the messages on its stderr; with every
+    # row written, a Gamma pole and channel b's even-d pole must still read as before
+    pytest.importorskip("mpmath")  # perfbench's oracles import it
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import oracles
+
+    cases = [
+        ("gamma-pole", "candidate-sweep", ["--delta", "4.2", "--omega", "1.3:5.3:0.5", "--lmax", "2"]),
+        ("even-d-channel-b", "flux-classify", ["--d", "4", "--omega", "2:3:0.5", "--lmax", "2"]),
+    ]
+    for cls, kind, argv in cases:
+        rc = adskg.cli.main([kind] + argv)
+        out = SimpleNamespace(rc=rc, exc=None, stderr=capsys.readouterr().err)
+        job = SimpleNamespace(kind=kind, argv=[kind] + argv, params={"fmt": "csv"})
+        assert rc == 3 and oracles.known_failure(adskg, job, out) == cls
