@@ -1,6 +1,7 @@
 """Command-line front end: invariant audits, sweeps, tables.
 
-Subcommands: selfcheck, harmonics-table, jfactor-audit, candidate-sweep,
+Subcommands: selfcheck (per entry of the _invariants registry, its worst residual
+against its tolerance), harmonics-table, jfactor-audit, candidate-sweep,
 flux-classify, each taking --config and the OPTIONS it reads (SUBCOMMANDS).
 Options may come from flags or a flat key=value config file (flags win).
 Exit codes: 0 ok, 1 invariant failure, 2 usage or config error, 3 numeric
@@ -18,7 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ads_complex_structure as acs
-from . import ads_modes, flux, geometry, harmonics, specfun
+from . import ads_modes, flux, harmonics, specfun
+from ._invariants import INVARIANTS
 from ._jsonio import encode_items, records
 
 EXIT_OK = 0
@@ -77,8 +79,8 @@ def parse_omega_range(text):
         start, stop, step = (float(v) for v in text.split(":"))
     except Exception as exc:
         raise ValueError(f"--omega expects start:stop:step, got {text!r}") from exc
-    if step <= 0 or stop < start:
-        raise ValueError("--omega needs step > 0 and stop >= start")
+    if not (0.0 < step < math.inf and -math.inf < start <= stop < math.inf):  # nan fails
+        raise ValueError("--omega needs finite values with step > 0 and stop >= start")
     count = int(round((stop - start) / step))
     grid = [start + i * step for i in range(count + 1)]
     return [round(w, 12) for w in grid if w <= stop + 1e-12]
@@ -171,188 +173,22 @@ def _check_settings(settings):
 # ---------------------------------------------------------------- selfcheck
 
 
-def _selfcheck_suite(order):
-    rng = np.random.default_rng(2024)
-
-    def gamma_recurrence():
-        xs = rng.uniform(0.1, 50.0, size=50)
-        return all(
-            abs(specfun.gamma_value(x + 1.0) - x * specfun.gamma_value(x))
-            <= 1e-12 * abs(x * specfun.gamma_value(x))
-            for x in xs
-        )
-
-    def hankel_envelope():
-        for l in range(5):
-            for x in np.linspace(0.5, 20.0, 12):
-                h1 = specfun.radial_basis("h1", l, float(x))
-                j = specfun.radial_basis("j", l, float(x)).real
-                n = specfun.radial_basis("n", l, float(x)).real
-                if abs(abs(h1) ** 2 - (j * j + n * n)) > 1e-10 * abs(h1) ** 2:
-                    return False
-        return True
-
-    def evanescent_real():
-        # i_l(x) = i^-l j_l(ix) and i^(l+1) n_l(ix) in closed form
-        closed = {
-            ("j_evan", 0): lambda x, c, s: s / x,
-            ("j_evan", 1): lambda x, c, s: (x * c - s) / x**2,
-            ("j_evan", 2): lambda x, c, s: ((x * x + 3.0) * s - 3.0 * x * c) / x**3,
-            ("n_evan", 0): lambda x, c, s: -c / x,
-            ("n_evan", 1): lambda x, c, s: (x * s - c) / x**2,
-            ("n_evan", 2): lambda x, c, s: (3.0 * x * s - (x * x + 3.0) * c) / x**3,
-        }
-        for (kind, l), form in closed.items():
-            for x in (0.5, 2.0):
-                value = specfun.radial_basis(kind, l, x)
-                exact = form(x, math.cosh(x), math.sinh(x))
-                if value.imag != 0.0 or abs(value.real - exact) > 1e-12 * abs(exact):
-                    return False
-        return True
-
-    def orthonormality():
-        for d in (3, 4, 5):
-            idx = harmonics.all_indices(d, 3)
-            gram = harmonics.harmonic_gram(d, idx, order=order)
-            if np.abs(gram - np.eye(len(idx))).max() > 1e-8:
-                return False
-        return True
-
-    def contiguous():
-        for d in (3, 5):
-            for L in harmonics.all_indices(d, 3):
-                angles = list(rng.uniform(0.3, 2.8, size=d - 2)) + [rng.uniform(0, 6.28)]
-                p = harmonics.SphericalPoint(d, tuple(angles))
-                l = L.levels[0]
-                lsub = L.levels[1] if d > 3 else abs(L.m)
-                lc = harmonics.ladder_coeffs(d, l, lsub)
-                lhs = math.cos(angles[0]) * harmonics.eval_harmonic(d, L, p)
-                rhs = lc.chi_plus * harmonics.eval_harmonic(
-                    d, harmonics.MultiIndex((l + 1,) + L.levels[1:], L.m), p
-                )
-                if lc.chi_minus:
-                    rhs += lc.chi_minus * harmonics.eval_harmonic(
-                        d, harmonics.MultiIndex((l - 1,) + L.levels[1:], L.m), p
-                    )
-                if abs(lhs - rhs) > 1e-10:
-                    return False
-        return True
-
-    def wigner_completeness():
-        rot = harmonics.rotation_matrix_zyz(0.9, 0.4, -1.2)
-        for l in range(3):
-            block = harmonics.wigner_block_quadrature(3, l, rot.T, order=order)
-            gram = block @ np.conj(block.T)
-            if np.abs(gram - np.eye(2 * l + 1)).max() > 1e-8:
-                return False
-        return True
-
-    def killing_structure():
-        return (
-            geometry.structure_check(geometry.Signature(1, 3)).ok
-            and geometry.structure_check(geometry.Signature(2, 3)).ok
-        )
-
-    def wronskian():
-        for d, delta in ((3, 4.2), (5, 3.1)):
-            p = ads_modes.AdSParams(d, delta)
-            for omega in (0.0, 1.3):
-                for l in (0, 2):
-                    vals = [
-                        ads_modes.radial_wronskian(p, omega, l, rho) for rho in (0.2, 0.6, 1.0)
-                    ]
-                    target = -(2.0 * l + d - 2.0)
-                    if max(abs(v - target) for v in vals) > 1e-6 * abs(target):
-                        return False
-        return True
-
-    def candidates_boost():
-        for d, delta in ((3, 4.2), (5, 3.7)):
-            p = ads_modes.AdSParams(d, delta)
-            for which in (1, 2, 3, 4):
-                for omega in (0.0, 0.5, 1.5):
-                    for l in (0, 1):
-                        jab = lambda w, ll: acs.candidate_jab(which, p, w, ll)
-                        rm, rp = acs.boost_recurrence_residual(p, jab, omega, l)
-                        if max(rm, rp) > 1e-10 * abs(jab(omega, l)):
-                            return False
-        return True
-
-    def j_square_compat():
-        p = ads_modes.AdSParams(3, 4.2)
-        grid = [(w, l) for w in (0.5, 1.5, -0.5, -1.5) for l in (0, 1)]
-        jf = acs.candidate_jfactors(1, p, grid)
-        rep = acs.check_conditions(jf)
-        if not (rep.essential_ok and rep.case == "nondiagonal"):
-            return False
-        phi = ads_modes.random_real_mode_vector(3, [0.5, 1.5], 1, rng)
-        eta = ads_modes.random_real_mode_vector(3, [0.5, 1.5], 1, rng)
-        base = ads_modes.omega_rho(p, phi, eta)
-        after = ads_modes.omega_rho(p, acs.apply_J(jf, phi), acs.apply_J(jf, eta))
-        return abs(after - base) <= 1e-10 * max(1.0, abs(base))
-
-    def diagonal_zero_norm():
-        p = ads_modes.AdSParams(3, 4.2)
-        grid = [(w, l) for w in (0.5, 1.5, -0.5, -1.5) for l in (0, 1)]
-        jd = acs.diagonal_jfactors(grid)
-        phi = ads_modes.random_real_mode_vector(3, [0.5, 1.5], 1, rng)
-        return abs(acs.g_rho(p, jd, phi)) < 1e-12
-
-    def flux_values():
-        omega, mass = 2.0, 1.0
-        p_r = math.sqrt(omega**2 - mass**2)
-        f = specfun.radial_basis("h1", 0, p_r * 5.0)
-        df = p_r * specfun.radial_basis_deriv("h1", 0, p_r * 5.0)
-        v = flux.mode_flux("minkowski", {"d": 3}, omega, 0, (f, df), rho=5.0)
-        if abs(v.flux_per_time - 2.0 * omega / p_r) > 1e-8:
-            return False
-        p = ads_modes.AdSParams(3, 4.2)
-        fa, dfa, pr2 = flux.ads_combined_mode(p, 2.5, 1, 0.7)
-        v2 = flux.mode_flux("ads", p, 2.5, 1, (fa, dfa), rho=0.7)
-        return abs(v2.flux_per_time - 4.0 * 2.5 / pr2) <= 1e-8 * abs(v2.flux_per_time)
-
-    def quadrature_omega():
-        n, length, e = 64, 2.0 * math.pi, 1.3
-        xs = np.arange(n) * (length / n)
-        k = 3.0
-        from .structures import SampledField, theta_omega_quadrature
-
-        eta = SampledField((length,), np.cos(-k * xs), -e * np.sin(-k * xs))
-        zeta = SampledField((length,), np.sin(-k * xs), e * np.cos(-k * xs))
-        _, om = theta_omega_quadrature(eta, zeta)
-        return abs(om.real - e * length / 2.0) < 1e-6
-
-    return [
-        ("gamma recurrence", gamma_recurrence),
-        ("hankel envelope", hankel_envelope),
-        ("evanescent series real", evanescent_real),
-        ("harmonic orthonormality", orthonormality),
-        ("contiguous relations", contiguous),
-        ("wigner completeness", wigner_completeness),
-        ("killing structure constants", killing_structure),
-        ("radial wronskian", wronskian),
-        ("candidate boost recurrences", candidates_boost),
-        ("J conditions and compatibility", j_square_compat),
-        ("diagonal zero norm", diagonal_zero_norm),
-        ("mode flux values", flux_values),
-        ("plane-wave symplectic quadrature", quadrature_omega),
-    ]
-
-
 def cmd_selfcheck(args):
-    suite = _selfcheck_suite(order=args.quadrature_order)
-    failures = 0
-    for name, check in suite:
+    """One line per invariant: its worst residual over its sample against its tolerance."""
+    passed = 0
+    for k, entry in enumerate(INVARIANTS):
         try:
-            ok = check()
+            # a generator per entry: the others do not change its sample
+            points = entry.sample(args.quadrature_order, np.random.default_rng([2024, k]))
+            worst = np.max([entry.rule(*point) for point in points])  # nan if any is nan
+            line = f"residual {worst:.1e}, tol {entry.tol:g}"
         except Exception as exc:  # a numeric blow-up counts as a failure
-            ok = False
-            print(f"[fail] {name}: {exc}")
-        else:
-            print(f"[{'pass' if ok else 'fail'}] {name}")
-        failures += 0 if ok else 1
-    print(f"{len(suite) - failures}/{len(suite)} checks passed")
-    return EXIT_OK if failures == 0 else EXIT_INVARIANT
+            worst, line = math.nan, exc
+        ok = worst <= entry.tol  # a nan residual fails
+        print(f"[{'pass' if ok else 'fail'}] {entry.name}: {line}")
+        passed += ok
+    print(f"{passed}/{len(INVARIANTS)} checks passed")
+    return EXIT_OK if passed == len(INVARIANTS) else EXIT_INVARIANT
 
 
 # ----------------------------------------------------------- harmonics-table

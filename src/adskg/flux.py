@@ -187,7 +187,10 @@ def _combined_mode(p, omega, l, channels):
     if ops is _FLOAT and p_r == 0.0:
         raise ValueError("combined mode needs omega^2 distinct from the mass squared")
     f_a = ops.pow(p_r, l) / ops.double_factorial(2 * l + p.d - 2)
-    f_b = ops.double_factorial(2 * l + p.d - 4) / ops.pow(p_r, l + 1)
+    num, den = ops.double_factorial(2 * l + p.d - 4), ops.pow(p_r, l + 1)
+    if ops is _FLOAT and not (den and math.isfinite(num / den)):
+        raise OverflowError(f"f_b = (2l+d-4)!!/p_r^(l+1) overflows at omega = {omega}, l = {l}")
+    f_b = num / den
     sa, dsa, sb, dsb = channels
     i_f_b = ops.mul(1j, f_b)
     return f_a * sa + ops.mul(i_f_b, -sb), f_a * dsa + ops.mul(i_f_b, -dsb), p_r

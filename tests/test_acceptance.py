@@ -1,6 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
-Every tolerance is fixed here; the whole module runs at desk scale.
+An identity that `adskg selfcheck` also checks is stated once, in adskg._invariants:
+each criterion runs that residual rule over a wider sample than selfcheck's and holds
+it to the registry's tolerance.  Only the checks with no registry entry, such as the
+pointwise rotation expansion, the constancy of the Wronskian in rho and the subspace
+classifier, are written out here.  The whole module runs at desk scale.
 """
 
 import itertools
@@ -11,25 +15,20 @@ import numpy as np
 import pytest
 
 from adskg import specfun
+from adskg._invariants import EVANESCENT, INVARIANTS
 from adskg.ads_complex_structure import (
-    apply_J,
-    boost_recurrence_residual,
-    candidate_jab,
     candidate_jfactors,
-    check_conditions,
     diagonal_boost_mismatch,
     diagonal_jfactors,
-    g_rho,
 )
 from adskg.ads_modes import (
     AdSParams,
-    omega_rho,
     radial_eval,
     radial_eval_deriv,
     radial_wronskian,
     random_real_mode_vector,
 )
-from adskg.flux import ads_combined_mode, mode_flux
+from adskg.flux import mode_flux
 from adskg.geometry import Signature, killing_field, killing_residual, structure_check
 from adskg.harmonics import (
     MultiIndex,
@@ -38,7 +37,6 @@ from adskg.harmonics import (
     eval_harmonic,
     eval_harmonic_dcos,
     harmonic_fn,
-    harmonic_gram,
     ladder_coeffs,
     multi_indices,
     rotate_coeffs,
@@ -59,8 +57,18 @@ from adskg.structures import (
 )
 
 
+ENTRIES = {entry.name: entry for entry in INVARIANTS}
+
+
 def ok(num, text):
     print(f"criterion {num:2d} PASS: {text}")
+
+
+def assert_holds(name, points):
+    """The named invariant's rule is within its tolerance at every point (nan fails)."""
+    entry = ENTRIES[name]
+    worst = np.max([entry.rule(*point) for point in points])
+    assert worst <= entry.tol, f"{name}: residual {worst:.2e} > tol {entry.tol:g}"
 
 
 def random_chain(rng, d, l):
@@ -77,22 +85,19 @@ def random_angles(rng, d):
 
 def test_criterion_1_orthonormality():
     t0 = time.time()
-    for d in (3, 4, 5):
-        idx = all_indices(d, 4)
-        gram = harmonic_gram(d, idx, order=24)
-        dev = np.abs(gram - np.eye(len(idx))).max()
-        assert dev <= 1e-8, (d, dev)
+    assert_holds("harmonic orthonormality", [(d, 4, 24) for d in (3, 4, 5)])
     # the same order-24 quadrature through the generic callable route
+    tol = ENTRIES["harmonic orthonormality"].tol
     rng = np.random.default_rng(1)
     for d, n_pairs in ((3, 8), (4, 6), (5, 3)):
         idx = all_indices(d, 4)
         for _ in range(n_pairs):
             la, lb = (int(v) for v in rng.choice(len(idx), size=2, replace=False))
             val = sphere_inner(d, harmonic_fn(d, idx[la]), harmonic_fn(d, idx[lb]), order=24)
-            assert abs(val) <= 1e-8
+            assert abs(val) <= tol
         ii = int(rng.integers(len(idx)))
         val = sphere_inner(d, harmonic_fn(d, idx[ii]), harmonic_fn(d, idx[ii]), order=24)
-        assert abs(val - 1.0) <= 1e-8
+        assert abs(val - 1.0) <= tol
     elapsed = time.time() - t0
     assert elapsed < 5.0, f"orthonormality took {elapsed:.1f} s"
     ok(1, f"orthonormality delta to 1e-8 for d in 3..5, l <= 4 ({elapsed:.2f} s)")
@@ -100,25 +105,26 @@ def test_criterion_1_orthonormality():
 
 def test_criterion_2_contiguous_relations():
     rng = np.random.default_rng(2)
-    for d in (3, 4, 5, 6):
-        for l in range(6):
-            for _ in range(100):
-                L = random_chain(rng, d, l)
-                p = SphericalPoint(d, random_angles(rng, d))
-                lsub = L.levels[1] if d > 3 else abs(L.m)
-                lc = ladder_coeffs(d, l, lsub)
-                up = MultiIndex((l + 1,) + L.levels[1:], L.m)
-                x = math.cos(p.angles[0])
-                lhs = x * eval_harmonic(d, L, p)
-                rhs = lc.chi_plus * eval_harmonic(d, up, p)
-                dlhs = (1.0 - x * x) * eval_harmonic_dcos(d, L, p)
-                drhs = lc.delta_plus * eval_harmonic(d, up, p)
-                if lc.chi_minus != 0.0:
-                    down = MultiIndex((l - 1,) + L.levels[1:], L.m)
-                    rhs += lc.chi_minus * eval_harmonic(d, down, p)
-                    drhs += lc.delta_minus * eval_harmonic(d, down, p)
-                assert abs(lhs - rhs) <= 1e-10
-                assert abs(dlhs - drhs) <= 1e-10
+    points = [
+        (d, random_chain(rng, d, l), random_angles(rng, d))
+        for d in (3, 4, 5, 6)
+        for l in range(6)
+        for _ in range(100)
+    ]
+    assert_holds("contiguous relations", points)
+    # the derivative relation (1 - x^2) dY/dx = delta_+ Y_(l+1) + delta_- Y_(l-1)
+    tol = ENTRIES["contiguous relations"].tol
+    for d, L, angles in points:
+        p = SphericalPoint(d, angles)
+        l = L.levels[0]
+        lc = ladder_coeffs(d, l, L.levels[1] if d > 3 else abs(L.m))
+        x = math.cos(angles[0])
+        dlhs = (1.0 - x * x) * eval_harmonic_dcos(d, L, p)
+        drhs = lc.delta_plus * eval_harmonic(d, MultiIndex((l + 1,) + L.levels[1:], L.m), p)
+        if lc.chi_minus != 0.0:
+            down = MultiIndex((l - 1,) + L.levels[1:], L.m)
+            drhs += lc.delta_minus * eval_harmonic(d, down, p)
+        assert abs(dlhs - drhs) <= tol
     for d in range(3, 9):
         for l in range(11):
             for lsub in range(l + 1):
@@ -144,10 +150,13 @@ def test_criterion_3_hankel_identities():
             j = specfun.radial_basis("j", l, x).real
             n = specfun.radial_basis("n", l, x).real
             assert abs(h1 - (j + 1j * n)) <= 1e-10 * scale
-            assert abs(abs(h1) ** 2 - (j * j + n * n)) <= 1e-10 * abs(h1) ** 2
+    xs = np.linspace(0.5, 20.0, 60).tolist()
+    assert_holds("hankel envelope", itertools.product(range(7), xs))
+    xs = (0.5, 1.0, 5.0, 20.0)
+    assert_holds("evanescent series real", itertools.product(EVANESCENT, xs))
     for kind in ("j_evan", "n_evan"):
         for l in range(7):
-            for x in (0.5, 1.0, 5.0, 20.0):
+            for x in xs:
                 assert specfun.radial_basis(kind, l, x).imag == 0.0
     ok(3, "hankel closed form, envelope, and real evanescent series, l <= 6")
 
@@ -156,10 +165,9 @@ def test_criterion_4_wigner_completeness_and_rotation():
     rng = np.random.default_rng(4)
     angles = (0.8, 1.1, -0.5)
     rot = rotation_matrix_zyz(*angles)
+    assert_holds("wigner completeness", [(l, angles, 24) for l in range(4)])
     for l in range(4):
         block = wigner_block_quadrature(3, l, rot.T, order=24)
-        gram = block @ np.conj(block.T)
-        assert np.abs(gram - np.eye(2 * l + 1)).max() <= 1e-8
         euler = wigner_block_euler(l, *angles)
         assert np.abs(block - euler).max() <= 1e-8
         labels = multi_indices(3, l)
@@ -182,23 +190,20 @@ def test_criterion_5_killing_exactness():
             for b in range(sig.n):
                 res = killing_residual(sig, killing_field(sig, a, b))
                 assert all(poly.is_zero() for row in res for poly in row)
-        rep = structure_check(sig)
-        assert rep.ok
-        assert rep.n_generators == sig.n * (sig.n + 1) // 2
+        assert structure_check(sig).n_generators == sig.n * (sig.n + 1) // 2
+    assert_holds("killing structure constants", [(1, 3), (2, 3)])
     ok(5, "killing equation and so(p,q)/poincare brackets exact for (1,3), (2,3)")
 
 
 def test_criterion_6_wronskian():
-    for d in (3, 5):
-        for delta in (3.1, 4.2):
-            p = AdSParams(d=d, Delta=delta)
-            for omega in (0.0, 0.5, 1.3, 2.7):
-                for l in (0, 1, 2, 3):
-                    vals = [radial_wronskian(p, omega, l, rho) for rho in np.linspace(0.2, 1.0, 5)]
-                    target = -(2.0 * l + d - 2.0)
-                    drift = max(abs(v - vals[0]) for v in vals) / abs(vals[0])
-                    assert drift <= 1e-8
-                    assert abs(vals[0] - target) <= 1e-6 * abs(target)
+    params = [AdSParams(d, delta) for d in (3, 5) for delta in (3.1, 4.2)]
+    grid = list(itertools.product(params, (0.0, 0.5, 1.3, 2.7), (0, 1, 2, 3)))
+    rhos = np.linspace(0.2, 1.0, 5)
+    assert_holds("radial wronskian", [(*point, rho) for point in grid for rho in rhos])
+    for p, omega, l in grid:
+        vals = [radial_wronskian(p, omega, l, rho) for rho in rhos]
+        drift = max(abs(v - vals[0]) for v in vals) / abs(vals[0])
+        assert drift <= 1e-8
     ok(6, "wronskian constant in rho and equal to -(2l + d - 2) on the full grid")
 
 
@@ -207,34 +212,13 @@ def test_criterion_7_complex_structure():
     p = AdSParams(3, 4.2)
     grid = [(w, l) for w in (0.5, 1.5, 2.5, -0.5, -1.5, -2.5) for l in range(4)]
     jf = candidate_jfactors(1, p, grid)
-    rep = check_conditions(jf)
-    assert rep.case == "nondiagonal" and rep.essential_ok
-    assert max(rep.residuals.values()) <= 1e-10
-    for _ in range(20):
-        phi = random_real_mode_vector(3, [0.5, 1.5, 2.5], 3, rng)
-        eta = random_real_mode_vector(3, [0.5, 1.5, 2.5], 3, rng)
-        twice = apply_J(jf, apply_J(jf, phi))
-        minus = phi.map_entries(lambda o, lv, m, a, b: (-a, -b))
-        worst = max(
-            max(abs(a1 - a2), abs(b1 - b2))
-            for k in phi.entries
-            for (a1, b1), (a2, b2) in [(twice.get(*k), minus.get(*k))]
-        )
-        assert worst <= 1e-10
-        base = omega_rho(p, phi, eta)
-        after = omega_rho(p, apply_J(jf, phi), apply_J(jf, eta))
-        assert abs(after - base) <= 1e-10 * max(1.0, abs(base))
-    for d in (3, 5):
-        for delta in (3.7, 4.2):
-            pp = AdSParams(d, delta)
-            for which in (1, 2, 3, 4):
-                jab = lambda w, ll: candidate_jab(which, pp, w, ll)
-                for omega in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
-                    for l in (0, 1, 2, 3):
-                        rm, rp = boost_recurrence_residual(pp, jab, omega, l)
-                        scale = abs(jab(omega, l))
-                        assert rm <= 1e-10 * scale
-                        assert rp <= 1e-10 * scale
+    modes = [random_real_mode_vector(3, [0.5, 1.5, 2.5], 3, rng) for _ in range(40)]
+    pairs = zip(modes[::2], modes[1::2])  # (phi, eta) in draw order
+    assert_holds("J conditions and compatibility", [(p, jf, phi, eta) for phi, eta in pairs])
+    params = [AdSParams(d, delta) for d in (3, 5) for delta in (3.7, 4.2)]
+    omegas = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+    points = itertools.product((1, 2, 3, 4), params, omegas, (0, 1, 2, 3))
+    assert_holds("candidate boost recurrences", points)
     ok(7, "nondiagonal conditions, J^2, omega-compatibility, boost recurrences")
 
 
@@ -243,9 +227,8 @@ def test_criterion_8_diagonal_case():
     p = AdSParams(3, 4.2)
     grid = [(w, l) for w in (0.5, 1.5, -0.5, -1.5) for l in range(3)]
     jd = diagonal_jfactors(grid)
-    for _ in range(20):
-        phi = random_real_mode_vector(3, [0.5, 1.5], 2, rng)
-        assert abs(g_rho(p, jd, phi)) <= 1e-12
+    phis = [random_real_mode_vector(3, [0.5, 1.5], 2, rng) for _ in range(20)]
+    assert_holds("diagonal zero norm", [(p, jd, phi) for phi in phis])
     for omega in np.linspace(0.01, 0.99, 25):
         assert diagonal_boost_mismatch(float(omega)) is True
     for omega in (1.0, 1.0 + 1e-12, 1.5, 7.0):
@@ -255,25 +238,21 @@ def test_criterion_8_diagonal_case():
 
 def test_criterion_9_flux():
     omega, mass = 2.0, 1.0
+    rs_ls = list(itertools.product((3.0, 5.0, 10.0), (0, 1, 2)))
+    mink = {"d": 3, "mass": mass}
+    assert_holds("mode flux values", [("minkowski", mink, omega, l, r) for r, l in rs_ls])
+    p = AdSParams(3, 4.2, R=1.3)
+    assert_holds("mode flux values", [("ads", p, w, l, 0.7) for w in (2.5, 3.5) for l in (0, 1, 2)])
     p_r = math.sqrt(omega * omega - mass * mass)
     want = 2.0 * omega / p_r
     vals = []
-    for r in (3.0, 5.0, 10.0):
-        for l in (0, 1, 2):
-            f = specfun.radial_basis("h1", l, p_r * r)
-            df = p_r * specfun.radial_basis_deriv("h1", l, p_r * r)
-            v = mode_flux("minkowski", {"d": 3}, omega, l, (f, df), rho=r)
-            assert v.verdict == "outgoing"
-            assert abs(v.flux_per_time - want) <= 1e-8 * want
-            vals.append(v.flux_per_time)
+    for r, l in rs_ls:
+        f = specfun.radial_basis("h1", l, p_r * r)
+        df = p_r * specfun.radial_basis_deriv("h1", l, p_r * r)
+        v = mode_flux("minkowski", {"d": 3}, omega, l, (f, df), rho=r)
+        assert v.verdict == "outgoing"
+        vals.append(v.flux_per_time)
     assert max(vals) - min(vals) <= 1e-8 * want
-    p = AdSParams(3, 4.2, R=1.3)
-    for w in (2.5, 3.5):
-        for l in (0, 1, 2):
-            f, df, pr2 = ads_combined_mode(p, w, l, 0.7)
-            v = mode_flux("ads", p, w, l, (f, df), rho=0.7)
-            want_ads = 4.0 * w * p.R ** (p.d - 1) / pr2
-            assert abs(v.flux_per_time - want_ads) <= 1e-8 * want_ads
     for kind in ("j", "n"):
         f = specfun.radial_basis(kind, 1, p_r * 5.0)
         df = p_r * specfun.radial_basis_deriv(kind, 1, p_r * 5.0)
@@ -343,12 +322,11 @@ def test_criterion_10_structures():
             basis = eye[list(subset)]
             assert classify_subspace(sp, basis) == oracle(basis)
 
-    n, length, e = 128, 2.0 * math.pi, 1.7
+    n, length, e, k = 128, 2.0 * math.pi, 1.7, 4.0
+    assert_holds("plane-wave symplectic quadrature", [(n, e, k)])
     xs = np.arange(n) * (length / n)
-    k = 4.0
     eta = SampledField((length,), np.cos(-k * xs), -e * np.sin(-k * xs))
     zeta = SampledField((length,), np.sin(-k * xs), e * np.cos(-k * xs))
     _, om_val = theta_omega_quadrature(eta, zeta, orientation=1)
-    assert abs(om_val.real - e * length / 2.0) <= 1e-6
     assert abs(om_val.imag) <= 1e-12
     ok(10, "polarization identities, subspace classifier vs oracle, plane-wave omega")

@@ -5,15 +5,19 @@ import json
 import math
 import pathlib
 import shlex
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from adskg import cli, specfun
+import adskg
+from adskg import ads_modes, cli, harmonics, specfun
+from adskg._invariants import INVARIANTS
 from adskg.ads_modes import random_real_mode_vector
 
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+PERFBENCH = README.parent / "perfbench"
 
 # the options each subcommand reads, besides --config
 READS = {
@@ -39,6 +43,12 @@ class TestHelpers:
         with pytest.raises(ValueError):
             cli.parse_omega_range("3:1:0.5")
 
+    @pytest.mark.parametrize("text", ["0:inf:1", "nan:1:0.5", "0:1:nan", "-inf:1:1", "0:1:inf"])
+    def test_non_finite_omega_is_a_config_error(self, text, capsys):
+        assert cli.main(["candidate-sweep", f"--omega={text}"]) == cli.EXIT_CONFIG
+        message = "--omega needs finite values with step > 0 and stop >= start"
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+
     def test_symmetric_grid(self):
         assert cli.symmetric_grid([0.0, 1.0]) == [-1.0, 0.0, 1.0]
         assert cli.symmetric_grid([0.0, 1.0], include_zero=False) == [-1.0, 1.0]
@@ -50,9 +60,13 @@ class TestHelpers:
 class TestSelfcheck:
     def test_clean_build_exits_zero(self, capsys):
         assert cli.main(["selfcheck"]) == cli.EXIT_OK
-        out = capsys.readouterr().out
-        assert "checks passed" in out
-        assert "[fail]" not in out
+        lines = capsys.readouterr().out.splitlines()
+        # one line per invariant, with its worst residual and its tolerance
+        assert len(lines) == len(INVARIANTS) + 1
+        for line, entry in zip(lines, INVARIANTS):
+            assert line.startswith(f"[pass] {entry.name}: residual ")
+            assert line.endswith(f", tol {entry.tol:g}")
+        assert lines[-1] == "13/13 checks passed"
 
     def test_evanescent_check_catches_a_sign_error(self, monkeypatch, capsys):
         # j_evan computed with the oscillating sign is j_l, not i_l: still real
@@ -60,8 +74,40 @@ class TestSelfcheck:
         monkeypatch.setattr(specfun, "_series_j", lambda l, x, sign=-1.0: series_j(l, x))
         assert cli.main(["selfcheck"]) == cli.EXIT_INVARIANT
         out = capsys.readouterr().out
-        assert "[fail] evanescent series real" in out
+        assert "[fail] evanescent series real: residual " in out
         assert "12/13 checks passed" in out
+
+    def test_nan_residual_fails(self, monkeypatch, capsys):
+        radial_basis = specfun.radial_basis
+
+        def nan_basis(kind, l, x):
+            nan = kind in ("h1", "j", "n")
+            return complex(math.nan, math.nan) if nan else radial_basis(kind, l, x)
+
+        monkeypatch.setattr(specfun, "radial_basis", nan_basis)
+        # nan at one rho only: a max that skips nan would pass the entry
+        wronskian = ads_modes.radial_wronskian
+        nan_at_1 = lambda p, omega, l, rho: math.nan if rho == 1.0 else wronskian(p, omega, l, rho)
+        monkeypatch.setattr(ads_modes, "radial_wronskian", nan_at_1)
+        nan_gram = lambda d, idx, order: np.full([len(idx)] * 2, np.nan)
+        monkeypatch.setattr(harmonics, "harmonic_gram", nan_gram)
+        assert cli.main(["selfcheck"]) == cli.EXIT_INVARIANT
+        out = capsys.readouterr().out
+        for name in ("hankel envelope", "harmonic orthonormality", "radial wronskian"):
+            assert f"[fail] {name}: residual nan, tol " in out
+
+    def test_meets_the_benchmark_oracle_at_each_order(self, monkeypatch, capsys):
+        # perfbench runs selfcheck at generate.SELFCHECK_ORDERS and checks it with
+        # oracles.check_selfcheck: one line per entry, then n/n
+        monkeypatch.syspath_prepend(PERFBENCH)
+        import generate
+        import oracles
+
+        for order in (4, *generate.SELFCHECK_ORDERS):
+            rc = cli.main(["selfcheck", "--quadrature-order", str(order)])
+            out = SimpleNamespace(rc=rc, stdout=capsys.readouterr().out)
+            assert rc == cli.EXIT_OK, out.stdout
+            assert oracles.check_selfcheck(adskg, None, out, None) == (len(INVARIANTS), None)
 
 
 class TestCandidateSweep:

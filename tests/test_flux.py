@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from adskg.ads_modes import AdSParams, radial_eval, radial_eval_deriv
+from adskg import flux
+from adskg.ads_modes import AdSParams, _channel_grid, radial_eval, radial_eval_deriv
 from adskg.flux import (
     DiagonalMetricPoint,
     ads_combined_mode,
@@ -152,6 +154,19 @@ class TestModeFlux:
                 want = 4.0 * omega * p.R ** (p.d - 1) / p_r
                 assert v.verdict == "outgoing"
                 assert v.flux_per_time == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("l", [53, 56])
+    def test_combined_mode_overflow_names_its_point(self, l):
+        # p_r is 2e-6 next to the shell: p_r^(l + 1) is subnormal at l = 53, where
+        # (2l+d-4)!!/p_r^(l+1) is inf, and 0 at l = 56
+        p, omega = AdSParams(3, 4.0), 2.000000000001
+        message = f"f_b = (2l+d-4)!!/p_r^(l+1) overflows at omega = {omega}, l = {l}"
+        with pytest.raises(OverflowError, match=re.escape(message)):
+            ads_combined_mode(p, omega, l, 0.7)
+        # the array form keeps the point, as values that are not finite
+        at = np.array([omega]), np.array([l])
+        f, df, _ = flux._combined_mode(p, *at, _channel_grid(p, *at, 0.7)[0])
+        assert not np.isfinite(f).any() and not np.isfinite(df).any()
 
     def test_ads_real_channels_standing(self):
         p = AdSParams(3, 4.2)

@@ -254,7 +254,7 @@ def scalar_flux_row(p, kind, w, l, p_r):
 
 def combined_flux_fault(p, w, l, channels):
     """The fault of a combined row whose float form raises on its own, past its channels
-    (p_r^(l + 1) underflows to 0 next to the shell, a ZeroDivisionError): the row names
+    (next to the shell p_r^(l + 1) is so small that f_b overflows, an OverflowError): the row names
     its flux, which the array form gives."""
     at = np.array([w]), np.array([l])
     fa, dfa, _ = flux._combined_mode(p, *at, tuple(np.array([c]) for c in channels))
