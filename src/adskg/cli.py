@@ -51,22 +51,62 @@ def _csv_column(cells):
     return list(map(fmt, cells))
 
 
+def _json_column(cells):
+    # complex values become the same fmt strings as in CSV cells
+    return encode_items(cells, default=fmt)
+
+
+def table(*columns):
+    """The rows of an output file as a structured array, one field per column in order.
+
+    A numpy array of bool, int, float or complex dtype makes a field of its dtype; any
+    other column (a list, or an array of str or object dtype) makes an object field that
+    holds its cells as they are, such as an int column with "fault" cells.  ValueError
+    if the columns differ in length.
+    """
+    lengths = set(map(len, columns))
+    if len(lengths) > 1:
+        raise ValueError("the columns of a table need one length")
+    typed = [isinstance(c, np.ndarray) and c.dtype.kind in "biufc" for c in columns]
+    dtype = [(f"f{i}", c.dtype if t else object) for i, (c, t) in enumerate(zip(columns, typed))]
+    # zeros, not empty: numpy fills the object fields of an empty record array by record
+    rows = np.zeros(lengths.pop() if lengths else 0, dtype)
+    for name, column in zip(rows.dtype.names, columns):
+        # fromiter stores each cell as it is, a list cell too
+        rows[name] = column if isinstance(column, np.ndarray) else np.fromiter(column, object)
+    return rows
+
+
+def _spelled(field, spell):
+    """spell(cells) of a table field, each string at its row.  A typed field is spelled
+    once per distinct bit pattern (-0.0 apart from 0.0, a complex value by both parts),
+    the strings gathered to the rows; an object field cell by cell."""
+    if field.dtype == object:
+        return spell(field.tolist())
+    keys = field.view(f"V{field.itemsize}" if field.dtype.kind == "c" else f"i{field.itemsize}")
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    if len(distinct) == len(field):
+        return spell(field.tolist())
+    strings = np.array(spell(distinct.view(field.dtype).tolist()), dtype=object)
+    return strings[inverse].tolist()
+
+
 def write_rows(header, rows, out_format, out_path):
+    """Write a `table` under header, one name per field: CSV lines of the fmt spelling
+    of each cell, or json.dumps([dict(zip(header, row)) ...], indent=1, sort_keys=True)
+    text, where a repeated name keeps its last column."""
+    fields = [rows[name] for name in rows.dtype.names]
+    if len(fields) != len(header):
+        raise ValueError("each row needs one value per header name")
     if out_format == "csv":
-        columns = [_csv_column(cells) for cells in zip(*rows, strict=True)]
+        columns = [_spelled(field, _csv_column) for field in fields]
         text = "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
     else:
-        # json.dumps([dict(zip(header, row)) ...], indent=1, sort_keys=True):
-        # a repeated name keeps its last column
-        column = dict(zip(header, range(len(header))))
+        column = dict(zip(header, fields))
         keys = sorted(column)
-        columns = list(zip(*rows, strict=True)) or [()] * len(header)
-        if len(columns) != len(header):
-            raise ValueError("each row needs one value per header name")
-        cells = list(chain.from_iterable(zip(*(columns[column[key]] for key in keys))))
-        # complex values become the same fmt strings as in CSV cells
-        fields = [(key, None) for key in keys]
-        text = records(fields, len(rows), encode_items(cells, default=fmt)) + "\n"
+        columns = [_spelled(column[key], _json_column) for key in keys]
+        cells = list(chain.from_iterable(zip(*columns)))
+        text = records([(key, None) for key in keys], len(rows), cells) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -79,7 +119,9 @@ def parse_omega_range(text):
         start, stop, step = (float(v) for v in text.split(":"))
     except Exception as exc:
         raise ValueError(f"--omega expects start:stop:step, got {text!r}") from exc
-    if not (0.0 < step < math.inf and -math.inf < start <= stop < math.inf):  # nan fails
+    # nan fails each comparison; a tiny step over a finite range can count inf points
+    finite = 0.0 < step < math.inf and -math.inf < start <= stop < math.inf
+    if not (finite and (stop - start) / step < math.inf):
         raise ValueError("--omega needs finite values with step > 0 and stop >= start")
     count = int(round((stop - start) / step))
     grid = [start + i * step for i in range(count + 1)]
@@ -198,23 +240,26 @@ def cmd_harmonics_table(args):
     d = args.d
     if args.table == "ladder":
         header = ["d", "l", "l_sub", "chi_minus", "chi_plus", "delta_minus", "delta_plus"]
-        rows = []
-        for l in range(args.lmax + 1):
-            for lsub in range(l + 1):
-                lc = harmonics.ladder_coeffs(d, l, lsub)
-                rows.append([d, l, lsub, lc.chi_minus, lc.chi_plus, lc.delta_minus, lc.delta_plus])
+        pairs = [(l, l_sub) for l in range(args.lmax + 1) for l_sub in range(l + 1)]
+        coeffs = [harmonics.ladder_coeffs(d, *pair) for pair in pairs]
+        values = [(c.chi_minus, c.chi_plus, c.delta_minus, c.delta_plus) for c in coeffs]
+        rows = table(np.full(len(pairs), d), *np.array(pairs).T, *np.array(values).T)
         write_rows(header, rows, args.format, args.out)
         return EXIT_OK
     thetas = [0.3, 1.1, 2.2]
     phis = [0.0, 1.7]
     header = ["levels", "m"] + [f"angle{i}" for i in range(d - 1)] + ["re", "im"]
-    rows = []
+    levels, ms, angles, values = [], [], [], []
     for L in harmonics.all_indices(d, args.lmax):
         for th in thetas:
             for ph in phis:
-                angles = tuple([th] * (d - 2) + [ph])
-                val = harmonics.eval_harmonic(d, L, harmonics.SphericalPoint(d, angles))
-                rows.append([" ".join(map(str, L.levels)), L.m, *angles, val.real, val.imag])
+                point = tuple([th] * (d - 2) + [ph])
+                levels.append(" ".join(map(str, L.levels)))
+                ms.append(L.m)
+                angles.append(point)
+                values.append(harmonics.eval_harmonic(d, L, harmonics.SphericalPoint(d, point)))
+    angles, values = np.array(angles), np.array(values)
+    rows = table(levels, np.array(ms), *angles.T, values.real, values.imag)
     write_rows(header, rows, args.format, args.out)
     return EXIT_OK
 
@@ -255,11 +300,18 @@ def cmd_jfactor_audit(args):
         "compat_residual",
         "positive",
     ]
-    pairs, table = rep.pairs, jf.table
-    res = pairs["residuals"]
-    square = map(max, res["square_a"], res["square_b"])
-    columns = zip(pairs["case"], square, res["compat"], pairs["positivity_ok"])
-    rows = [[w, l, *table[(w, l)], *cells] for (w, l), cells in zip(jf.keys(), columns)]
+    res = rep.pairs["residuals"]
+    omegas, ls = np.array(jf.keys(), dtype=float).reshape(-1, 2).T
+    square_a, square_b = np.array(res["square_a"]), np.array(res["square_b"])
+    rows = table(
+        omegas,
+        ls.astype(int),
+        *jf._values.T,  # in key order
+        rep.pairs["case"],
+        np.where(square_b > square_a, square_b, square_a),  # max(square_a, square_b)
+        np.array(res["compat"]),
+        np.array(rep.pairs["positivity_ok"], dtype=bool),
+    )
     write_rows(header, rows, args.format, args.out)
     print(
         f"case={rep.case} essential_ok={rep.essential_ok} "
@@ -295,7 +347,7 @@ def cmd_candidate_sweep(args):
     omegas, ls = _sweep_points(parse_omega_range(args.omega), args.lmax)
     which_list = args.candidates or [1, 2, 3, 4]
     header = ["candidate", "omega", "l", "jab", "sign_jab", "res_minus", "res_plus"]
-    rows, faults = [], []
+    columns, faults = [], []
     worst = 0.0
     grids = acs._candidate_boost_grid(which_list, p, omegas, ls)
     for which, (val, rm, rp, found) in zip(which_list, grids):
@@ -306,9 +358,15 @@ def cmd_candidate_sweep(args):
         worst = float(np.fmax.reduce(np.concatenate([rm, rp]), initial=worst))
         sign = np.copysign(1.0, val).astype(int).astype(object)
         sign[list(found)] = "fault"
-        columns = (omegas, ls, val, sign, rm, rp)
-        rows += [[which, *cells] for cells in zip(*(c.tolist() for c in columns))]
+        columns.append((val, sign, rm, rp))
         faults += found.values()
+    k = len(which_list)
+    rows = table(
+        np.repeat(which_list, omegas.size),
+        np.tile(omegas, k),
+        np.tile(ls, k),
+        *map(np.concatenate, zip(*columns)),
+    )
     write_rows(header, rows, args.format, args.out)
     failed = _report_faults(faults)
     print(f"worst relative boost residual: {worst:.3e}", file=sys.stderr)
@@ -390,9 +448,9 @@ def cmd_flux_classify(args):
     ]
     fluxes[faulted] = np.nan
     points, kinds = np.nonzero(np.not_equal(verdicts, None))  # the rows present
-    columns = (kinds, omega[points], l[points], fluxes[points, kinds], verdicts[points, kinds])
-    rows = [[*FLUX_ROWS[k], w, li, f, v] for k, w, li, f, v in zip(*(c.tolist() for c in columns))]
-    write_rows(header, rows, args.format, args.out)
+    spacetimes, names = (np.array(column, dtype=object)[kinds] for column in zip(*FLUX_ROWS))
+    present = (omega[points], l[points], fluxes[points, kinds], verdicts[points, kinds])
+    write_rows(header, table(spacetimes, names, *present), args.format, args.out)
     return _report_faults(faults) or EXIT_OK
 
 

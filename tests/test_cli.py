@@ -43,7 +43,8 @@ class TestHelpers:
         with pytest.raises(ValueError):
             cli.parse_omega_range("3:1:0.5")
 
-    @pytest.mark.parametrize("text", ["0:inf:1", "nan:1:0.5", "0:1:nan", "-inf:1:1", "0:1:inf"])
+    # the last has finite values but (stop - start) / step = inf points
+    @pytest.mark.parametrize("text", ["0:inf:1", "nan:1:0.5", "0:1:nan", "-inf:1:1", "0:1:inf", "0:1e300:1e-300"])
     def test_non_finite_omega_is_a_config_error(self, text, capsys):
         assert cli.main(["candidate-sweep", f"--omega={text}"]) == cli.EXIT_CONFIG
         message = "--omega needs finite values with step > 0 and stop >= start"

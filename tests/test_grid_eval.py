@@ -37,11 +37,12 @@ def assert_same(value, ref):
 
 
 def run_cli(argv, monkeypatch, capsys):
-    """Exit code, captured (header, rows) and stderr of one CLI run."""
+    """Exit code, the rows of the captured table (as tuples of Python cells) and stderr of
+    one CLI run."""
     written = []
     monkeypatch.setattr(cli, "write_rows", lambda header, rows, *_: written.append((header, rows)))
     rc = cli.main(argv)
-    return rc, written[0][1] if written else None, capsys.readouterr().err
+    return rc, written[0][1].tolist() if written else None, capsys.readouterr().err
 
 
 class TestLogGammaGrid:

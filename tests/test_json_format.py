@@ -1,7 +1,9 @@
 """Every JSON file the package writes is byte for byte json.dumps(..., indent=1).
 
 The writers fill a fixed template instead of running the stdlib's indent
-encoder; the stdlib encoder on the same payload is the oracle here.
+encoder; the stdlib encoder on the same payload is the oracle here.  The
+CLI's CSV rows have their oracle too: each line is the fmt spelling of
+each cell, one cell at a time.
 """
 
 import json
@@ -95,9 +97,9 @@ def test_jfactors_to_json():
         assert jf.to_json() == json.dumps(jfactors_payload(jf), indent=1)
 
 
-def written(header, rows, tmp_path):
-    out = tmp_path / "rows.json"
-    cli.write_rows(header, rows, "json", str(out))
+def written(header, rows, tmp_path, out_format="json"):
+    out = tmp_path / f"rows.{out_format}"
+    cli.write_rows(header, rows, out_format, str(out))
     return out.read_text()
 
 
@@ -106,24 +108,54 @@ def expected(header, rows):
     return json.dumps(payload, indent=1, sort_keys=True, default=cli.fmt) + "\n"
 
 
+def expected_csv(header, rows):
+    """The CSV text of rows with each cell spelled by fmt on its own."""
+    return "\n".join([",".join(header), *(",".join(map(cli.fmt, row)) for row in rows)]) + "\n"
+
+
+def as_table(rows, width):
+    """cli.table of rows: a column of Python floats, ints, bools or complex numbers alone
+    as an array of that type, any other column as the list of its cells."""
+    columns = [list(cells) for cells in zip(*rows)] or [[] for _ in range(width)]
+    arrays = []
+    for cells in columns:
+        kinds = set(map(type, cells))
+        typed = len(kinds) == 1 and kinds <= {float, int, bool, complex}
+        arrays.append(np.array(cells, dtype=kinds.pop()) if typed else cells)
+    return cli.table(*arrays)
+
+
 SUBCOMMANDS = [
     ["candidate-sweep", "--omega", "0:1:0.5", "--lmax", "1"],
     ["flux-classify", "--omega", "2:3:0.5", "--lmax", "1"],
     ["jfactor-audit", "--omega", "0:1:0.5", "--lmax", "1"],
     ["harmonics-table", "--d", "4", "--lmax", "1"],
     ["harmonics-table", "--table", "ladder", "--lmax", "2"],
+    ["candidate-sweep", "--omega", "0.05:20:0.1", "--lmax", "10"],  # the stated grid, 8,800 rows
 ]
 
 
-@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: "-".join(argv[:3]))
-def test_cli_rows(argv, monkeypatch, tmp_path):
+def captured(argv, monkeypatch):
+    """The header and the table a CLI run hands write_rows."""
     calls = []
     monkeypatch.setattr(cli, "write_rows", lambda header, rows, *_: calls.append((header, rows)))
     cli.main(argv)
     monkeypatch.undo()
     [(header, rows)] = calls
-    assert rows
-    assert written(header, rows, tmp_path) == expected(header, rows)
+    assert len(rows)
+    return header, rows
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: "-".join(argv[:3]))
+def test_cli_rows(argv, monkeypatch, tmp_path):
+    header, rows = captured(argv, monkeypatch)
+    assert written(header, rows, tmp_path) == expected(header, rows.tolist())
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: "-".join(argv[:3]))
+def test_cli_rows_as_csv(argv, monkeypatch, tmp_path):
+    header, rows = captured(argv, monkeypatch)
+    assert written(header, rows, tmp_path, "csv") == expected_csv(header, rows.tolist())
 
 
 def test_rows_of_every_cell_type(tmp_path):
@@ -133,18 +165,43 @@ def test_rows_of_every_cell_type(tmp_path):
         ["é", -7, -0.0, False, complex(-0.0, math.inf), 1e300, ""],
         *(["x", 0, x, True, complex(x, x), x, "y"] for x in EXTREMES),
     ]
-    assert written(header, rows, tmp_path) == expected(header, rows)
-    assert written(header, [], tmp_path) == expected(header, []) == "[]\n"
+    assert written(header, as_table(rows, 7), tmp_path) == expected(header, rows)
+    assert written(header, as_table([], 7), tmp_path) == expected(header, []) == "[]\n"
     # a repeated name keeps its last column, as dict(zip(header, row)) does
-    assert written(["b", "a", "b"], [[1, 2, 3]], tmp_path) == expected(["b", "a", "b"], [[1, 2, 3]])
+    repeated = ["b", "a", "b"]
+    assert written(repeated, as_table([[1, 2, 3]], 3), tmp_path) == expected(repeated, [[1, 2, 3]])
+
+
+# -0.0 next to 0.0 (and 0j next to -0-0j below): equal as floats, spelled apart
+CELLS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1, 0.1, -0.0, 1e300, 0.0, -5e-324, 1.0]
+ZEROS = [0j, complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0)]
+
+
+def test_csv_rows_are_the_cells_spelled_one_by_one(tmp_path):
+    # a typed field is spelled once per distinct bit pattern; a line is still each
+    # cell's fmt spelling, here with a repeated name that CSV writes twice
+    header = ["x", "z", "n", "flag", "sign", "x"]
+    rows = []
+    for k, (x, y) in enumerate(zip(CELLS, reversed(CELLS))):
+        z = ZEROS[k % 4] if k < 8 else complex(x, -x)
+        sign = "fault" if k % 4 == 3 else (1, -1)[k % 2]
+        rows.append([x, z, k % 3 - 1, k % 2 == 0, sign, y])
+    table = as_table(rows, len(header))
+    assert [table.dtype[i].kind for i in range(len(header))] == ["f", "c", "i", "b", "O", "f"]
+    assert written(header, table, tmp_path, "csv") == expected_csv(header, rows)
+    assert written(header, table, tmp_path) == expected(header, rows)
+    kinds = (float, complex, int, bool, object, float)
+    empty = cli.table(*(np.array([], dtype=kind) for kind in kinds))
+    assert written(header, empty, tmp_path, "csv") == "x,z,n,flag,sign,x\n"
+    assert written(header, empty, tmp_path) == "[]\n"
 
 
 def test_rows_are_checked(tmp_path):
     with pytest.raises(ValueError):
-        written(["a", "b"], [[1, 2], [3]], tmp_path)
+        cli.table(np.array([1, 3]), np.array([2]))
     with pytest.raises(ValueError):
-        written(["a", "b"], [[1]], tmp_path)
+        written(["a", "b"], cli.table(np.array([1])), tmp_path)
     # the fixed layout has no place for a nested list or object
     for cell in ([1, 2], [1], {"k": 1}):
         with pytest.raises(TypeError):
-            written(["a", "b"], [[0, 1], [cell, 2]], tmp_path)
+            written(["a", "b"], cli.table([0, cell], np.array([1, 2])), tmp_path)
