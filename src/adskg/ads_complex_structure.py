@@ -10,22 +10,22 @@ recurrences.
 
 The four candidates are Gamma ratios over ten arguments per (omega, l)
 point (_gamma_args).  Over a grid, such as a candidate sweep with its two
-boost-neighbour grids, every candidate reads one signed-log Gamma table
-built in a single pass over the distinct arguments, and each sums its
-sides in the same sorted order as the float candidate_jab, so the two
-agree bit for bit.
+boost-neighbour grids, every argument is carried as its index into the
+sorted distinct arguments, and every candidate reads one signed-log Gamma
+pass over those.  Each sums its sides in index order, which is the sorted
+argument order of the float candidate_jab, so the two agree bit for bit.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
 from ._jsonio import encode_array, read_records, records
 from .ads_modes import _channel_params, _find, _ordered_sum, is_real_solution
-from .specfun import _ARRAY, _FLOAT, _cmul, _gamma_fault, _log_gamma_table
+from .specfun import _ARRAY, _FLOAT, _cmul, _gamma_fault, _log_gamma_float, _log_gamma_grid
 
 __all__ = [
     "JFactors",
@@ -53,16 +53,15 @@ class JFactors:
     Stored as a (keys, 4) complex array in sorted (omega, l) key order.
     """
 
-    __slots__ = ("_keys", "_codes", "_values")
+    __slots__ = ("_codes", "_values")
 
     def __init__(self, table):
         store = {(float(omega), int(l)): row for (omega, l), row in table.items()}
-        self._keys = sorted(store)
+        keys = sorted(store)
         # omega + i l: numpy orders complex numbers lexicographically, so
         # the codes of the sorted keys are sorted and searchable
-        self._codes = np.array([complex(omega, l) for omega, l in self._keys])
-        values = np.array([store[key] for key in self._keys], dtype=complex)
-        self._values = values.reshape(len(self._keys), 4)
+        self._codes = np.array([complex(omega, l) for omega, l in keys])
+        self._values = np.array([store[key] for key in keys], dtype=complex).reshape(len(keys), 4)
 
     def _at(self, codes):
         """(jaa, jab, jba, jbb) at omega + i l codes; KeyError for the first one missing."""
@@ -74,10 +73,10 @@ class JFactors:
 
     @property
     def table(self):
-        return dict(zip(self._keys, map(tuple, self._values.tolist())))
+        return dict(zip(self.keys(), map(tuple, self._values.tolist())))
 
     def keys(self):
-        return list(self._keys)
+        return list(zip(self._codes.real.tolist(), self._codes.imag.astype(int).tolist()))
 
     def get(self, omega, l):
         return tuple(self._at(complex(float(omega), int(l))).tolist())
@@ -89,7 +88,7 @@ class JFactors:
         omegas, ls = self._codes.real, self._codes.imag.astype(int)
         cells = np.column_stack([encode_array(a) for a in (omegas, ls, self._values.view(float))])
         fields = [("omega", None), ("l", None)] + [(name, 2) for name in _FACTORS]
-        return records(fields, len(self._keys), cells.ravel().tolist())
+        return records(fields, len(self._codes), cells.ravel().tolist())
 
 
 def jfactors_from_json(text):
@@ -204,23 +203,20 @@ def _fold(res, case, positive, tol):
     return fields | {"residuals": {name: r.tolist() for name, r in worst.items()}}
 
 
-def check_conditions(jf, grid=None, tol=1e-10):
+def check_conditions(jf, tol=1e-10):
     """Evaluate every condition of the 2x2 action as residuals.
 
-    grid defaults to all stored (omega, l) keys and must be symmetric in
-    omega.  Positivity holds only in the nondiagonal case, through
-    Sylvester's criterion on the induced quadratic form: jba > 0 with
-    jab < 0 (the determinant is already pinned to one by the square
-    condition).
+    The stored (omega, l) keys must be symmetric in omega.  Positivity
+    holds only in the nondiagonal case, through Sylvester's criterion on
+    the induced quadratic form: jba > 0 with jab < 0 (the determinant is
+    already pinned to one by the square condition).
     """
-    keys = jf.keys() if grid is None else sorted((float(w), int(l)) for w, l in grid)
-    omegas, ls = np.array(keys, dtype=float).reshape(-1, 2).T
-    values = jf._at(omegas + 1j * ls)
-    mirror = _find(jf._codes, -omegas + 1j * ls)
+    # -conj(omega + i l) is the (-omega, l) mirror's code
+    mirror = _find(jf._codes, -np.conj(jf._codes))
     if np.any(mirror < 0):
         raise ValueError("condition grid must be symmetric in omega")
     # each key next to its (-omega, l) mirror: column 0 is the key itself
-    pair = np.stack([values, jf._values[mirror]], axis=1)
+    pair = np.stack([jf._values, jf._values[mirror]], axis=1)
     res, case, positive = _key_conditions(pair, pair[:, ::-1], tol)
     own = _fold({name: r[:, 0] for name, r in res.items()}, case[:, 0], positive[:, 0], tol)
     return ConditionReport(**own, pairs=_fold(res, case, positive, tol))
@@ -306,16 +302,17 @@ def _sides(which):
     return _SIDES[which]
 
 
-def _candidate(which, args, l, ops):
+def _candidate(which, args, l, sort, log_gamma, ops):
     """Candidate `which` from the _gamma_args of its points by signed-log Gamma products,
-    each side summed in sorted argument order (so -omega, which swaps arguments, gives the
-    same value): the value, the log of its magnitude and each argument in that order with
-    its fault flags."""
+    each side summed in the order sort gives its arguments, which must be sorted argument
+    order (so -omega, which swaps arguments, gives the same value): the value, the log of
+    its magnitude and each argument, as sort gives it, with its fault flags.  log_gamma
+    gives (log|Gamma|, sign, fault) of an argument, and ops (_FLOAT or _ARRAY) the exp."""
     sign = (-1.0) ** l if which in (1, 2) else 1.0
     log_total, faults = 0.0, []
     for direction, side in zip((1.0, -1.0), _sides(which)):
-        for x in ops.sort([args[i] for i in side]):
-            log_abs, s, fault = ops.log_gamma(x)
+        for x in sort([args[i] for i in side]):
+            log_abs, s, fault = log_gamma(x)
             log_total = log_total + direction * log_abs
             sign = sign * s
             faults.append((x, fault))
@@ -332,8 +329,9 @@ def candidate_jab(which, p, omega, l):
     with aa/ba the channel-a parameter pair, ab/bb the channel-b pair,
     g = l + d/2.  Real for real inputs; poles raise with the argument.
     """
-    value, _, args = _candidate(which, _gamma_args(p, omega, l), l, _FLOAT)
-    for x, fault in args:
+    args = _gamma_args(p, omega, l)
+    value, _, faults = _candidate(which, args, l, sorted, _log_gamma_float, _FLOAT)
+    for x, fault in faults:
         if fault:
             raise _gamma_fault(x)
     return value
@@ -344,26 +342,36 @@ def _candidate_grids(which_list, p, omega, l):
     """candidate_jab of each candidate in which_list over arrays omega and l (ints):
     [(values, faults)] in the order of which_list.
 
-    One _log_gamma_grid pass covers the distinct Gamma arguments those
-    candidates take at these points, and every candidate reads its
-    arguments from it.  faults maps the index of a point where
-    candidate_jab raises to the exception it raises first: per argument
-    in sorted numerator and then sorted denominator order a non-finite
-    value or a pole (named by the point's own argument), then an
-    overflowing exp.  A negative l anywhere raises ValueError at once.
+    Each Gamma argument those candidates take at these points is carried as
+    its index into their sorted distinct values (keys), and one
+    _log_gamma_grid pass covers the keys.  Sorting the indices of a side
+    sorts its arguments: equal values share an index, and nan is the last
+    key, where np.sort puts it.  No argument is -0.0, which would share
+    0.0's key: each is a half-sum, 1 - x, g or g - 1.  faults maps the
+    index of a point where candidate_jab raises to the exception it raises
+    first: per argument in sorted numerator and then sorted denominator
+    order a non-finite value or a pole (named by its key, the point's own
+    argument), then an overflowing exp.  A negative l anywhere raises
+    ValueError at once.
     """
     omega, l = np.asarray(omega, dtype=float), np.asarray(l)
     args = _gamma_args(p, omega, l)
-    used = {i for which in which_list for side in _sides(which) for i in side}
-    log_gamma = _log_gamma_table([args[i] for i in used])
-    ops = SimpleNamespace(**(vars(_ARRAY) | {"log_gamma": log_gamma}))
+    used = sorted({i for which in which_list for side in _sides(which) for i in side})
+    keys, index = np.unique([args[i] for i in used], return_inverse=True)
+    indices = dict(zip(used, index.reshape(len(used), *l.shape)))
+    table = _log_gamma_grid(keys)
+
+    def log_gamma(at):
+        return tuple(column[at] for column in table)
+
+    sort = functools.partial(np.sort, axis=0)  # stacks the side's index arrays
     out = []
     for which in which_list:
-        values, log_total, arg_faults = _candidate(which, args, l, ops)
+        values, log_total, arg_faults = _candidate(which, indices, l, sort, log_gamma, _ARRAY)
         faults = {}
         for x, fault in arg_faults:
             for i in np.flatnonzero(fault).tolist():
-                faults.setdefault(i, _gamma_fault(x.item(i)))
+                faults.setdefault(i, _gamma_fault(keys.item(x.item(i))))
         for i in np.flatnonzero(np.isinf(values) & np.isfinite(log_total)).tolist():
             faults.setdefault(i, OverflowError("math range error"))
         out.append((values, faults))
@@ -380,19 +388,20 @@ def _candidate_boost_grid(which_list, p, omega, l):
     point order, to what they raise first: for the point's own value,
     else its (omega - 1, l + 1) neighbour, else its (omega + 1, l + 1)
     one.  The three values of such a point are nan.  The points and both
-    neighbour grids share one Gamma pass (_candidate_grids).
+    neighbour grids share one Gamma pass (_candidate_grids), each point
+    next to its two neighbours, so flat index order is fault order.
     """
     omega, l = np.asarray(omega, dtype=float), np.asarray(l)
-    omegas = np.concatenate([omega, omega - 1.0, omega + 1.0])
-    ls = np.concatenate([l, l + 1, l + 1])
+    omegas = np.stack([omega, omega - 1.0, omega + 1.0], axis=-1)
+    ls = np.stack([l, l + 1, l + 1], axis=-1)
     out = []
     for values, grid_faults in _candidate_grids(which_list, p, omegas, ls):
-        base, minus, plus = values.reshape(3, l.size)
+        base, minus, plus = values.reshape(-1, 3).T
         res_minus = np.abs(minus + base * _boost_factor(p, omega, l))
         res_plus = np.abs(plus + base * _boost_factor(p, -omega, l))
         faults = {}
-        for i in sorted(grid_faults, key=lambda i: (i % l.size, i // l.size)):
-            faults.setdefault(i % l.size, grid_faults[i])
+        for i in sorted(grid_faults):
+            faults.setdefault(i // 3, grid_faults[i])
         base[list(faults)] = res_minus[list(faults)] = res_plus[list(faults)] = np.nan
         out.append((base, res_minus, res_plus, faults))
     return out
@@ -429,7 +438,7 @@ def diagonal_jfactors(grid):
     return JFactors(table)
 
 
-def candidate_jfactors(which, p, grid, jaa=0.0):
+def candidate_jfactors(which, p, grid):
     """JFactors built by completing a candidate jab over a grid of (omega, l) keys."""
     keys = list(grid)
     if not keys:
@@ -440,7 +449,7 @@ def candidate_jfactors(which, p, grid, jaa=0.0):
     for i, (key, jab) in enumerate(zip(keys, values.tolist())):
         if i in faults:
             raise faults[i]
-        table[key] = complete_nondiagonal(jab, jaa)
+        table[key] = complete_nondiagonal(jab)
     return JFactors(table)
 
 

@@ -24,6 +24,7 @@ from .harmonics import MultiIndex, all_indices
 from .specfun import (
     _ARRAY,
     _FLOAT,
+    _HYP_Z_MAX,
     PoleError,
     _cmul,
     _dz_series,
@@ -50,8 +51,6 @@ __all__ = [
     "random_real_mode_vector",
 ]
 
-SIN2_MAX = 0.95
-
 
 @dataclass(frozen=True)
 class AdSParams:
@@ -70,6 +69,10 @@ class AdSParams:
             # keeps the Gamma arguments of the first candidate solution off
             # poles for small frequencies and angular momenta
             raise ValueError("AdSParams requires Delta > (d - 1) / 2")
+        if not (math.isfinite(self.Delta) and math.isfinite(self.R)):
+            raise ValueError(
+                f"AdSParams requires finite Delta and R, got Delta = {self.Delta}, R = {self.R}"
+            )
 
 
 def delta_for_mass(m, R, d):
@@ -117,9 +120,10 @@ def _channel_params(p, omega, l):
 
 
 def _check_rho(rho):
+    # the radial domain is the 2F1 series domain in z = sin^2 rho
     z = math.sin(rho) ** 2
-    if rho <= 0.0 or z > SIN2_MAX:
-        raise ValueError(f"rho = {rho} outside the radial domain (sin^2 rho <= {SIN2_MAX})")
+    if rho <= 0.0 or z > _HYP_Z_MAX:
+        raise ValueError(f"rho = {rho} outside the radial domain (sin^2 rho <= {_HYP_Z_MAX})")
     return z
 
 
@@ -358,10 +362,10 @@ class ModeVector:
             return (0.0 + 0.0j, 0.0 + 0.0j)
         return tuple(self._data[f, j].tolist())
 
-    def grid_is_symmetric(self, tol=0.0):
+    def grid_is_symmetric(self):
         return bool(
             np.array_equal(self._omegas, -self._omegas[::-1])
-            and not np.any(np.abs(self._weights - self._weights[::-1]) > tol)
+            and not np.any(np.abs(self._weights - self._weights[::-1]) > 0.0)
         )
 
     def same_grid(self, other):
@@ -465,7 +469,7 @@ def is_real_solution(phi, tol=1e-12):
     return not np.any(np.abs(mirror - np.conj(phi._data)) > tol)
 
 
-def random_real_mode_vector(d, omegas, l_max, rng, amplitude=1.0):
+def random_real_mode_vector(d, omegas, l_max, rng):
     """Random solution satisfying the reality condition, for audits and tests.
 
     omegas: positive frequencies; the grid is their symmetric closure
@@ -478,7 +482,7 @@ def random_real_mode_vector(d, omegas, l_max, rng, amplitude=1.0):
     space = _label_space(d, l_max)
     n, size = len(omegas), len(space.labels)
     # four normal draws per label, in the order (Re a, Im a, Re b, Im b)
-    values = (amplitude * rng.normal(size=(n, size, 4))).view(complex)
+    values = rng.normal(size=(n, size, 4)).view(complex)
     data = np.concatenate([np.conj(values[::-1][:, space.partner]), values])
     i, j = np.divmod(np.arange(n * size), size)
     # the positive frequencies first, then their (-omega, -m) partners

@@ -114,6 +114,9 @@ def write_rows(header, rows, out_format, out_path):
         sys.stdout.write(text)
 
 
+OMEGA_POINTS_MAX = 10**6
+
+
 def parse_omega_range(text):
     try:
         start, stop, step = (float(v) for v in text.split(":"))
@@ -124,6 +127,8 @@ def parse_omega_range(text):
     if not (finite and (stop - start) / step < math.inf):
         raise ValueError("--omega needs finite values with step > 0 and stop >= start")
     count = int(round((stop - start) / step))
+    if count + 1 > OMEGA_POINTS_MAX:
+        raise ValueError(f"--omega gives {count + 1} points, more than {OMEGA_POINTS_MAX}")
     grid = [start + i * step for i in range(count + 1)]
     return [round(w, 12) for w in grid if w <= stop + 1e-12]
 
@@ -301,12 +306,11 @@ def cmd_jfactor_audit(args):
         "positive",
     ]
     res = rep.pairs["residuals"]
-    omegas, ls = np.array(jf.keys(), dtype=float).reshape(-1, 2).T
     square_a, square_b = np.array(res["square_a"]), np.array(res["square_b"])
     rows = table(
-        omegas,
-        ls.astype(int),
-        *jf._values.T,  # in key order
+        jf._codes.real,  # omega + i l codes, in key order
+        jf._codes.imag.astype(int),
+        *jf._values.T,
         rep.pairs["case"],
         np.where(square_b > square_a, square_b, square_a),  # max(square_a, square_b)
         np.array(res["compat"]),

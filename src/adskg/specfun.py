@@ -195,25 +195,6 @@ def _log_gamma_grid(x):
     return log_abs, sign, fault
 
 
-def _log_gamma_table(arrays):
-    """_log_gamma_grid for arrays whose elements all occur in the given arrays: one pass
-    over their distinct values, then a lookup per element, with the shape of the array
-    looked up.
-
-    Bit for bit _log_gamma_grid, which is elementwise.  Values are distinct by
-    float equality, so -0.0 shares the entry of 0.0 and every nan shares one;
-    each such group has one (log_abs, sign, fault).
-    """
-    keys = np.unique(np.concatenate([np.ravel(a) for a in arrays]))
-    table = _log_gamma_grid(keys)
-
-    def log_gamma(x):
-        at = np.searchsorted(keys, x)
-        return tuple(column[at] for column in table)
-
-    return log_gamma
-
-
 def gamma_value(x):
     """Gamma(x) as a float; raises PoleError at nonpositive integers."""
     return log_gamma_signed(x).value()
@@ -257,16 +238,16 @@ def _complex(re, im=0.0):
     return out
 
 
-# The operations of the shared rules.  For arrays exp gives inf where math.exp overflows
-# and sort orders same-shape arrays per element; fmax(1.0, nan) is 1.0 for both.  round
-# is the nearest integer, half to even, for floats and arrays alike (np.rint takes a
-# numpy ufunc's time, about 1 us, on a float).  For arrays pow and abs give nan where the
-# float operation raises; mul is the complex product (a real factor counts as (x, 0.0)).
+# The operations of the shared rules.  For arrays exp gives inf where math.exp overflows;
+# fmax(1.0, nan) is 1.0 for both.  round is the nearest integer, half to even, for floats
+# and arrays alike (np.rint takes a numpy ufunc's time, about 1 us, on a float).  For
+# arrays pow and abs give nan where the float operation raises; mul is the complex
+# product (a real factor counts as (x, 0.0)).
 _FLOAT = SimpleNamespace(
     log=math.log, sin=math.sin, exp=math.exp, pow=operator.pow, abs=abs,
-    sqrt=math.sqrt, fmax=max, any=bool, sort=sorted, where=lambda c, a, b: a if c else b,
+    sqrt=math.sqrt, fmax=max, any=bool, where=lambda c, a, b: a if c else b,
     mul=operator.mul, complex=complex, double_factorial=double_factorial,
-    log_gamma=_log_gamma_float, round=_round_finite, not_=operator.not_, isfinite=math.isfinite,
+    round=_round_finite, not_=operator.not_, isfinite=math.isfinite,
 )
 _ARRAY = SimpleNamespace(
     log=functools.partial(_libm, math.log),
@@ -278,13 +259,11 @@ _ARRAY = SimpleNamespace(
     sqrt=np.sqrt,
     fmax=np.fmax,
     any=operator.methodcaller("any"),
-    sort=lambda side: np.sort(np.array(side, dtype=float), axis=0, kind="stable"),
     where=np.where,
     mul=_cmul,
     complex=_complex,
     double_factorial=_double_factorials,
     round=np.rint,
-    log_gamma=_log_gamma_grid,
     not_=np.logical_not, isfinite=np.isfinite,
 )
 

@@ -214,8 +214,6 @@ def classify_subspace(sp, basis):
         return "isotropic"
     if comp_in_s:
         return "coisotropic"
-    if comp.shape[0] == 0:
-        return "symplectic"
     stacked = np.vstack([basis, comp])
     _, rank_all = _row_space_basis(stacked)
     if rank_all == basis.shape[0] + comp.shape[0]:

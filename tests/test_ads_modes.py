@@ -31,6 +31,13 @@ class TestParams:
         with pytest.raises(ValueError):
             AdSParams(d=3, Delta=4.0, R=-1.0)
 
+    @pytest.mark.parametrize("delta, r", [(math.inf, 1.0), (4.0, math.nan), (4.0, math.inf)])
+    def test_non_finite_delta_or_radius_is_refused(self, delta, r):
+        # nan passes R <= 0 and inf passes Delta > (d - 1) / 2; both name the values
+        with pytest.raises(ValueError) as exc:
+            AdSParams(d=3, Delta=delta, R=r)
+        assert str(exc.value) == f"AdSParams requires finite Delta and R, got Delta = {delta}, R = {r}"
+
     def test_delta_for_mass_massless(self):
         assert delta_for_mass(0.0, 1.0, 3) == pytest.approx(3.0)
 

@@ -5,6 +5,7 @@ import json
 import math
 import pathlib
 import shlex
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -49,6 +50,22 @@ class TestHelpers:
         assert cli.main(["candidate-sweep", f"--omega={text}"]) == cli.EXIT_CONFIG
         message = "--omega needs finite values with step > 0 and stop >= start"
         assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+    def test_omega_point_count_is_bounded_before_the_grid_is_built(self):
+        # one point over the bound is refused before any point is built (under 10 kB
+        # traced, where the grid would take megabytes), so a grid of 10^18 points is
+        # refused as fast; a count at the bound is accepted
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as exc:
+                cli.parse_omega_range("0:1000000:1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == "--omega gives 1000001 points, more than 1000000"
+        assert peak < 10_000
+        grid = cli.parse_omega_range("0:999999:1")
+        assert len(grid) == cli.OMEGA_POINTS_MAX and grid[-1] == 999999.0
 
     def test_symmetric_grid(self):
         assert cli.symmetric_grid([0.0, 1.0]) == [-1.0, 0.0, 1.0]
@@ -390,6 +407,12 @@ class TestExitCodes:
                        "--lmax", "0", "--candidates", "1"])
         assert rc == cli.EXIT_NUMERIC
 
+    def test_jfactor_audit_pole_is_a_numeric_error(self, capsys):
+        # jfactor-audit stops at the first pole of its candidate grid, with no rows
+        rc = cli.main(["jfactor-audit", "--omega", "0.5:20:0.1", "--lmax", "10"])
+        assert rc == cli.EXIT_NUMERIC
+        assert capsys.readouterr() == ("", "numeric error: Gamma pole at argument -8.0\n")
+
     def test_missing_config_file(self):
         assert cli.main(["selfcheck", "--config", "/nonexistent.conf"]) == cli.EXIT_CONFIG
 
@@ -400,6 +423,19 @@ class TestExitCodes:
             (["selfcheck", "--quadrature-order", "0"], "--quadrature-order must be >= 4"),
             (["harmonics-table", "--lmax", "-1"], "--lmax must be >= 0"),
             (["flux-classify", "--lmax", "-2"], "--lmax must be >= 0"),
+            (
+                ["flux-classify", "--radius", "nan", "--omega", "2:3:0.5", "--lmax", "1"],
+                "AdSParams requires finite Delta and R, got Delta = 4.2, R = nan",
+            ),
+            (
+                ["flux-classify", "--delta", "inf", "--omega", "2:3:0.5", "--lmax", "1"],
+                "AdSParams requires finite Delta and R, got Delta = inf, R = 1.0",
+            ),
+            (["jfactor-audit", "--radius", "nan"], "AdSParams requires finite Delta and R, got Delta = 4.2, R = nan"),
+            (
+                ["candidate-sweep", "--omega", "0:1e9:1e-9"],
+                "--omega gives 1000000000000000001 points, more than 1000000",
+            ),
         ],
     )
     def test_bad_value_is_a_config_error(self, argv, message, capsys):

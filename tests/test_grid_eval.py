@@ -476,22 +476,25 @@ def test_mode_flux_standing_threshold_for_floats_and_arrays():
             assert (ref.verdict, repr(ref.flux_per_time)) == (grid.verdict[i], repr(grid.flux_per_time[i].item()))
 
 
-def test_log_gamma_table_keeps_shape_and_bits():
-    # one pass over the distinct values of several arrays, looked up per element: repeated
-    # values, both zeros, nan, infinities, poles and near poles read exactly what
-    # _log_gamma_grid gives each array on its own, in that array's shape
-    rng = np.random.default_rng(11)
-    special = [0.0, -0.0, math.nan, math.inf, -math.inf, -3.0, -3.0 + 1e-10, -3.0 + 2e-9]
-    base = np.concatenate([TestLogGammaGrid().draws(), special])
-    x = rng.choice(base, size=(3, 400))
-    y = np.concatenate([base, -base])[::-1]
-    log_gamma = specfun._log_gamma_table([x, y])
-    for arr in (x, y, x[1], x[:, :7].T, y.reshape(2, -1), np.array(special)):
-        got, ref = log_gamma(arr), specfun._log_gamma_grid(arr)
-        for g, r in zip(got, ref, strict=True):
-            assert (g.shape, g.dtype) == (arr.shape, r.dtype)
-            assert g.tobytes() == r.tobytes()
-    assert ref[2].tolist() == [True] * 7 + [False]  # all but -3.0 + 2e-9 are faults
+def test_candidate_grids_index_path_is_candidate_jab():
+    # the Gamma arguments go by their index into the sorted distinct arguments: a 2-D
+    # layout with repeated points, sides with tied arguments (omega = 0 makes alpha =
+    # beta), pole omegas at an integer Delta, overflowing ratios, and +-inf and nan
+    # omegas read per point exactly candidate_jab's value or first fault
+    p = ads_modes.AdSParams(3, 4.0)
+    row = [0.0, 0.5, -0.5, 1.0, 2.0, -3.0, 0.5, 100000.25, math.inf, -math.inf, math.nan, 0.0]
+    omega = np.array([row, row[::-1], row[3:] + row[:3]])
+    l = np.array([[0, 1, 2, 3, 0, 1, 2, 50, 0, 1, 2, 3], [3, 2, 1, 0, 3, 2, 1, 0, 3, 2, 1, 0], [0] * 12])
+    l[2, 4] = 50  # the 100000.25 of the last row
+    order = [3, 1, 4, 2]
+    seen = set()
+    for which, (values, faults) in zip(order, acs._candidate_grids(order, p, omega, l)):
+        assert values.shape == omega.shape
+        for i, (w, li) in enumerate(zip(omega.ravel().tolist(), l.ravel().tolist())):
+            ref = scalar_or_error(acs.candidate_jab, which, p, w, li)
+            assert_same(faults[i] if i in faults else values.item(i), ref)
+            seen.add(type(ref).__name__)
+    assert seen == {"float", "PoleError", "ValueError", "OverflowError"}
 
 
 ROADMAP_SWEEP = ["candidate-sweep", "--d", "3", "--omega", "0.05:20:0.1", "--lmax", "10"]
