@@ -2,9 +2,10 @@
 without the pure-Python encoder, and the reader of their [re, im] fields.
 
 json.dumps with an indent always runs the pure-Python encoder, about a
-microsecond per value.  `records` instead fills a fixed %-template of the
-indent=1 layout with spellings that `encode_items` takes from json.dumps
-without an indent, one call per column or file, which runs the C encoder.
+microsecond per value.  `records` instead joins, in one str.join, the fixed
+pieces of the indent=1 layout with spellings that `encode_items` takes from
+json.dumps without an indent, one call per column or file, which runs the C
+encoder.
 Both encoders spell floats with float.__repr__ (NaN and +-Infinity where
 not finite), ints with int.__repr__ and strings with the same escaping, so
 the text is byte for byte that of json.dumps(..., indent=1).
@@ -41,23 +42,40 @@ def records(fields, count, cells, depth=1):
 
     fields: (key, width) per member in order, width None for a scalar and
     the length for a list of scalars; cells: the encoded scalars of all
-    objects, object after object, in member order.
+    objects, object after object, in member order.  The text is one join of
+    the cells with the fixed pieces between them: the opening before the
+    first cell, a cycle of one piece before each cell of an object, and the
+    closing after the last.
     """
     if count == 0:
         return "[]"
     pad = " " * depth
+    pieces = _record_pieces(fields, pad)  # an object's text around its cells
+    end = "\n" + pad[1:] + "]"
+    if len(pieces) == 1:  # objects without cells
+        return "".join(["[\n", pieces[0], *[",\n" + pieces[0]] * (count - 1), end])
+    text = [None] * (2 * len(cells) + 1)
+    text[:-1:2] = [pieces[-1] + ",\n" + pieces[0], *pieces[1:-1]] * count
+    text[0] = "[\n" + pieces[0]
+    text[1::2] = cells
+    text[-1] = pieces[-1] + end
+    return "".join(text)
 
-    def value(width):
+
+def _record_pieces(fields, pad):
+    """The text of one object of the indent=1 layout at indent `pad` around its m cells:
+    m + 1 pieces, the text before each cell and then the text after the last."""
+    pieces, text = [], pad + "{"
+    for n, (key, width) in enumerate(fields):
+        text += ("," if n else "") + "\n" + pad + " " + json.dumps(key) + ": "
         if width is None:
-            return "%s"
-        return "[\n" + ",\n".join([pad + "  %s"] * width) + "\n" + pad + " ]"
-
-    members = ",\n".join(
-        f"{pad} {json.dumps(key).replace('%', '%%')}: {value(width)}" for key, width in fields
-    )
-    record = f"{pad}{{\n{members}\n{pad}}}" if fields else pad + "{}"
-    template = "[\n" + ",\n".join([record] * count) + "\n" + pad[1:] + "]"
-    return template % tuple(cells)
+            pieces.append(text)
+            text = ""
+        else:
+            pieces += [text + "[\n" + pad + "  "] + [",\n" + pad + "  "] * (width - 1)
+            text = "\n" + pad + " ]"
+    pieces.append(text + ("\n" + pad + "}" if fields else "}"))
+    return pieces
 
 
 def read_records(rows, numbers=(), lists=(), pairs=()):

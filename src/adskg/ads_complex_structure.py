@@ -61,6 +61,9 @@ class JFactors:
         # omega + i l: numpy orders complex numbers lexicographically, so
         # the codes of the sorted keys are sorted and searchable
         self._codes = np.array([complex(omega, l) for omega, l in keys])
+        if not np.isfinite(self._codes.real).all():  # a nan omega leaves keys unsorted
+            bad = next(key for key in store if not math.isfinite(key[0]))
+            raise ValueError(f"j-factor key (omega, l) = {bad} has a non-finite omega")
         self._values = np.array([store[key] for key in keys], dtype=complex).reshape(len(keys), 4)
 
     def _at(self, codes):

@@ -199,15 +199,16 @@ def radial_eval_deriv(p, omega, l, channel, rho):
 def _channel_grid(p, omega, l, rho):
     """(S_a, dS_a, S_b, dS_b) at one rho over arrays omega and l (ints), and the faults.
 
-    Bit for bit radial_eval and radial_eval_deriv of each point, with F and
-    dF/dz of each channel summed once per point.  faults holds one dict per
-    channel (a, b) that maps the index of a point where those raise to the
-    exception: channel b's pole, else the value series' fault, else the
-    derivative series' fault.  The values a fault spoils are nan.
+    Bit for bit radial_eval and radial_eval_deriv of each point.  The four
+    series, F and the derivative's shifted series of each channel over its
+    points off channel b's pole, are summed in one _hyp2f1_grid pass.  faults
+    holds one dict per channel (a, b) that maps the index of a point where
+    those raise to the exception: channel b's pole, else the value series'
+    fault, else the derivative series' fault.  The values a fault spoils are nan.
     """
     z = _check_rho(rho)
     omega, l = np.asarray(omega, dtype=float), np.asarray(l)
-    faults, out = [], []
+    channels, series = [], []
     for name in "ab":
         exp_sin, (a, b, c), pole = _channel(p, omega, l, name, _ARRAY)
         pole = np.broadcast_to(pole, l.shape)
@@ -215,17 +216,28 @@ def _channel_grid(p, omega, l, rho):
         points = np.flatnonzero(~pole)
         a, b, c = a[points], b[points], c[points]
         factor, shifted = _dz_series(a, b, c)
-        f, f_faults = _hyp2f1_grid(a, b, c, z)
-        f1, f1_faults = _hyp2f1_grid(*shifted, z)
-        faults.append(poles | {points.item(i): exc for i, exc in (f1_faults | f_faults).items()})
+        channels.append((exp_sin[points], points, poles, factor))
+        series += [(a, b, c), shifted]
+    values, faults = _hyp2f1_grid(*map(np.concatenate, zip(*series)), z)
+    # the blocks of the one pass: channel a's F and shifted F, then channel b's
+    ends = np.cumsum([0] + [len(params[0]) for params in series]).tolist()
+    blocks = [
+        (values[lo:hi], {i - lo: exc for i, exc in faults.items() if lo <= i < hi})
+        for lo, hi in zip(ends, ends[1:])
+    ]
+    out, point_faults = [], []
+    for (exp_sin, points, poles, factor), (f, f_faults), (f1, f1_faults) in zip(
+        channels, blocks[::2], blocks[1::2]
+    ):
+        point_faults.append(poles | {points.item(i): exc for i, exc in (f1_faults | f_faults).items()})
         # the powers of sin and cos per exponent, taken as radial_eval takes them
-        exps, at = np.unique(exp_sin[points], return_inverse=True)
+        exps, at = np.unique(exp_sin, return_inverse=True)
         factors = np.reshape([_rho_factors(p, e, rho) for e in exps.tolist()], (-1, 5))[at].T
         for part in (factors[2] * f, _profile_deriv(factors, f, factor * f1)):
             full = np.full(l.shape, np.nan)
             full[points] = part
             out.append(full)
-    return tuple(out), tuple(faults)
+    return tuple(out), tuple(point_faults)
 
 
 def radial_wronskian(p, omega, l, rho):

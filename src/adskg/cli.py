@@ -80,9 +80,19 @@ def table(*columns):
 def _spelled(field, spell):
     """spell(cells) of a table field, each string at its row.  A typed field is spelled
     once per distinct bit pattern (-0.0 apart from 0.0, a complex value by both parts),
-    the strings gathered to the rows; an object field cell by cell."""
+    the strings gathered to the rows.  An object field whose cells are all str, or only
+    int and str, is spelled once per distinct cell, since equal cells of these types
+    spell alike; any other object field cell by cell."""
     if field.dtype == object:
-        return spell(field.tolist())
+        cells = field.tolist()
+        if not set(map(type, cells)) <= {int, str}:
+            return spell(cells)
+        distinct = list(set(cells))
+        strings = spell(distinct)
+        if strings == distinct:  # each cell is its own spelling (CSV strings)
+            return cells
+        spelling = dict(zip(distinct, strings))
+        return [spelling[cell] for cell in cells]
     keys = field.view(f"V{field.itemsize}" if field.dtype.kind == "c" else f"i{field.itemsize}")
     distinct, inverse = np.unique(keys, return_inverse=True)
     if len(distinct) == len(field):

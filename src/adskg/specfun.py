@@ -448,7 +448,7 @@ def hyp2f1_dz(a, b, c, z):
 
 def _power_series(term, half_x2, b, floor, ops, retire):
     """term (1 + r_1 + r_1 r_2 + ...) with r_k = half_x2 / (k (2k + b)), k < 400: the loop
-    of the j and n series, for floats or arrays term and half_x2.
+    of the j and n series, for floats, or for arrays term, half_x2, b and floor.
 
     An element stops after its first term with |term| <= 1e-17 max(floor,
     |total|); retire(total, done) then keeps the totals of those that stop
@@ -464,18 +464,19 @@ def _power_series(term, half_x2, b, floor, ops, retire):
             keep = retire(total, done)
             if keep is None:
                 return total
-            term, total, half_x2 = term[keep], total[keep], half_x2[keep]
+            term, total, half_x2, b, tail = (v[keep] for v in (term, total, half_x2, b, tail))
     return total
 
 
 def _series_terms(kind, l, x, sign, ops):
     """(prefactor, first term, sign x^2 / 2, b, floor) of the power series of j_l (kind
     "j") or n_l ("n"): the prefactor times _power_series of the rest.  sign = +1 gives
-    the evanescent companions i^{-l} j_l(ix) and i^{l+1} n_l(ix), manifestly real."""
+    the evanescent companions i^{-l} j_l(ix) and i^{l+1} n_l(ix), manifestly real.  For
+    arrays x and l (ints) each element has its own l."""
     half_x2 = sign * 0.5 * (x * x)
     if kind == "j":
-        return ops.pow(x, l), 1.0 / double_factorial(2 * l + 1), half_x2, 2.0 * l + 1.0, 0.0
-    return -double_factorial(2 * l - 1) / ops.pow(x, l + 1), 1.0, half_x2, -2.0 * l - 1.0, 1.0
+        return ops.pow(x, l), 1.0 / ops.double_factorial(2 * l + 1), half_x2, 2.0 * l + 1.0, 0.0
+    return -ops.double_factorial(2 * l - 1) / ops.pow(x, l + 1), 1.0, half_x2, -2.0 * l - 1.0, 1.0
 
 
 def _series_value(kind, pref, total, ops):
@@ -487,7 +488,7 @@ def _series_value(kind, pref, total, ops):
 
 def _n_overflows(l, x, ops):
     """Whether the leading term (2l - 1)!! / x^(l + 1) of the n_l series exceeds e^700."""
-    return math.log(double_factorial(2 * l - 1)) - (l + 1) * ops.log(x) > 700.0
+    return ops.log(ops.double_factorial(2 * l - 1)) - (l + 1) * ops.log(x) > 700.0
 
 
 def _stop(total, done):
@@ -518,25 +519,6 @@ def _series_n(l, x, sign=-1.0):
         kind = "evanescent n" if sign > 0 else "n"
         raise OverflowError(f"{kind}_{l} overflows at x = {x}")
     return _series("n", l, x, sign)
-
-
-def _series_grid(kind, l, x):
-    """_series_j or _series_n at one l over a 1-d float array x, each element summed
-    until its float form stops."""
-    pref, term, half_x2, b, floor = _series_terms(kind, l, x, -1.0, _ARRAY)
-    out = np.empty(x.shape)
-    active = np.arange(x.size)
-
-    def retire(total, done):
-        nonlocal active
-        out[active[done]] = total[done]
-        active = active[~done]
-        return ~done if active.size else None
-
-    total = _power_series(np.full(x.shape, term), half_x2, b, floor, _ARRAY, retire)
-    if active.size:
-        out[active] = total
-    return _series_value(kind, pref, out, _ARRAY)
 
 
 @functools.lru_cache(maxsize=256)
@@ -667,26 +649,35 @@ def radial_basis_deriv(kind, l, x):
     return radial_basis(kind, l - 1, x) - (l + 1.0) / x * radial_basis(kind, l, x)
 
 
-@np.errstate(all="ignore")
-def _bessel_grid(l, x):
-    """radial_basis of h1, j and n at one l over a 1-d float array x: complex arrays,
-    bit for bit the float values, and nan or inf where the float form raises."""
-    try:
-        so, se = _hankel_sum(l, x, 0, _ARRAY), _hankel_sum(l, x, 1, _ARRAY)
-    except OverflowError:  # an a_k(l + 1/2) beyond the float range (l >= 86)
-        so = se = np.full(x.shape, math.nan)
-    sin, cos = _ARRAY.sin(x), _ARRAY.cos(x)
-    # cmath.exp(1j * x) is (exp(0.0) cos x, exp(0.0) sin x) = (cos x, sin x)
-    h1 = _cmul(_complex(cos, sin), _s_plus(l, so, se, 1, _ARRAY))
-    j, n = _trig_j_n(l, so, se, sin, cos)
-    at = np.flatnonzero(x < l + _CROSSOVER_EXTRA)
-    if at.size:
-        xs = x[at]
-        js, ns = _series_grid("j", l, xs), _series_grid("n", l, xs)
-        # _j_n sums both series, so where either raises, j and n both raise
-        fault = np.isnan(js) | np.isnan(ns) | _n_overflows(l, xs, _ARRAY)
-        j[at], n[at] = np.where(fault, math.nan, js), np.where(fault, math.nan, ns)
-    return h1, _complex(j), _complex(n)
+def _j_n_series(l, x, ops):
+    """_series_j and _series_n over arrays l (ints) and x of one shape, in one
+    _power_series pass over both series of every element, each summed until its float
+    form stops; ops reads x's powers."""
+    pref_j, *j_terms = _series_terms("j", l, x, -1.0, ops)
+    pref_n, *n_terms = _series_terms("n", l, x, -1.0, ops)
+    # j's elements, then n's
+    term, half_x2, b, floor = (
+        np.concatenate(np.broadcast_arrays(jt, nt, x)[:2]) for jt, nt in zip(j_terms, n_terms)
+    )
+    out = np.empty(term.size)
+    active = np.arange(term.size)
+
+    def retire(total, done):
+        nonlocal active
+        out[active[done]] = total[done]
+        active = active[~done]
+        return ~done if active.size else None
+
+    total = _power_series(term, half_x2, b, floor, _ARRAY, retire)
+    if active.size:
+        out[active] = total
+    return _series_value("j", pref_j, out[: x.size], ops), _series_value("n", pref_n, out[x.size :], ops)
+
+
+def _table_ops(powers, points):
+    """_ARRAY with pow(x, k) read from a table of libm powers, powers[i, k] = x_i^k, where
+    x holds the table points `points` (an index array, or slice(None) for all)."""
+    return SimpleNamespace(**{**vars(_ARRAY), "pow": lambda x, k: powers[points, k]})
 
 
 @np.errstate(all="ignore")
@@ -697,12 +688,40 @@ def _radial_grid(x, lmax):
     Returns [(values, derivatives)] for h1, j and n: complex arrays of shape
     (len(x), lmax + 1), bit for bit the float functions, and nan or inf
     where those raise.  The ladder derivative at l takes the values at
-    l - 1 (at l = 0, at 1) from the neighbouring row, which are the same.
+    l - 1 (at l = 0, at 1) from the neighbouring column, which are the same.
+
+    One pass per series family over the whole grid: sin x and cos x once, one
+    table of libm powers x^k, k = 0..l + 1 for every l, that the Hankel sums
+    and the series prefactors read, and the j and n series of every (x, l)
+    below the crossover x < l + 4 in one _power_series call.
     """
-    rows = [_bessel_grid(l, x) for l in range(max(lmax, 1) + 1)]
+    top = max(lmax, 1)
+    sin, cos = _ARRAY.sin(x), _ARRAY.cos(x)
+    powers = _libm(math.pow, x[:, None], np.arange(top + 2))
+    ops = _table_ops(powers, slice(None))
+    # cmath.exp(1j * x) is (exp(0.0) cos x, exp(0.0) sin x) = (cos x, sin x)
+    phase = _complex(cos, sin)
+    h1 = np.empty((x.size, top + 1), dtype=complex)
+    j, n = np.empty((2, x.size, top + 1))
+    for l in range(top + 1):
+        try:
+            so, se = _hankel_sum(l, x, 0, ops), _hankel_sum(l, x, 1, ops)
+        except OverflowError:  # an a_k(l + 1/2) beyond the float range (l >= 86)
+            so = se = np.full(x.shape, math.nan)
+        h1[:, l] = _cmul(phase, _s_plus(l, so, se, 1, _ARRAY))
+        j[:, l], n[:, l] = _trig_j_n(l, so, se, sin, cos)
+    # the series below the crossover x < l + 4; _j_n sums both, so where either raises,
+    # j and n both raise
+    ls, at = np.nonzero(x < np.arange(top + 1)[:, None] + _CROSSOVER_EXTRA)
+    if at.size:
+        js, ns = _j_n_series(ls, x[at], _table_ops(powers, at))
+        fault = np.isnan(js) | np.isnan(ns) | _n_overflows(ls, x[at], _ARRAY)
+        j[at, ls], n[at, ls] = np.where(fault, math.nan, js), np.where(fault, math.nan, ns)
     out = []
-    for values in zip(*rows):
-        derivs = [-values[1]]
-        derivs += [values[l - 1] - _cmul((l + 1.0) / x, values[l]) for l in range(1, lmax + 1)]
-        out.append((np.stack(values[: lmax + 1], axis=1), np.stack(derivs, axis=1)))
+    scale = (np.arange(1, lmax + 1) + 1.0) / x[:, None]  # (l + 1) / x
+    for values in (h1, _complex(j), _complex(n)):
+        derivs = np.empty((x.size, lmax + 1), dtype=complex)
+        derivs[:, 0] = -values[:, 1]
+        derivs[:, 1:] = values[:, :lmax] - _cmul(scale, values[:, 1 : lmax + 1])
+        out.append((values[:, : lmax + 1], derivs))
     return out

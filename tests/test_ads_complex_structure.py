@@ -352,6 +352,13 @@ class TestDiagonalBoostMismatch:
 
 
 class TestJson:
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+    def test_non_finite_omega_key_refused(self, omega):
+        # a nan key would leave the keys unsorted, so that stored keys read as missing
+        v = (1j, 0j, 0j, 1j)
+        with pytest.raises(ValueError, match=rf"\(omega, l\) = \({omega}, 0\) has a non-finite omega"):
+            JFactors({(0.5, 0): v, (omega, 0): v, (-0.5, 0): v})
+
     def test_round_trip(self):
         jf = candidate_jfactors(2, P3, GRID)
         back = jfactors_from_json(jf.to_json())

@@ -291,6 +291,18 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert "entry 3" in err and repr(field) in err
 
+    def test_nan_omega_key(self, tmp_path, capsys):
+        from adskg.ads_complex_structure import diagonal_jfactors
+
+        rows = json.loads(diagonal_jfactors([(w, l) for w in (-1.0, -0.5, 0.5, 1.0) for l in (0, 1)]).to_json())
+        rows[2]["omega"] = math.nan
+        path = tmp_path / "jf.json"
+        path.write_text(json.dumps(rows))
+        assert "NaN" in path.read_text()
+        assert cli.main(self.ARGV + ["--jfactors", str(path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "config error: j-factor key (omega, l) = (nan, 0) has a non-finite omega\n"
+
     def test_not_a_list(self, tmp_path):
         path = tmp_path / "jf.json"
         path.write_text(json.dumps({"omega": 0.5}))
