@@ -171,3 +171,20 @@ def plane_wave_omega(n, e, k):
     eta = structures.SampledField((2.0 * math.pi,), np.cos(-k * xs), -e * np.sin(-k * xs))
     zeta = structures.SampledField((2.0 * math.pi,), np.sin(-k * xs), e * np.cos(-k * xs))
     return abs(structures.theta_omega_quadrature(eta, zeta)[1].real - e * math.pi)
+
+
+@invariant("flat limit", 1e-3, lambda *_: [
+    (l, 1.0, 2.0, r) for l in (0, 2, 6, 10) for r in (1.0, 3.0, 5.5, 8.0)])
+def flat_limit(l, mass, energy, r):
+    """R^2 err at R = 10^3 against R = 10^4, relative, where err is |f - h1_l(p r)| / |h1|
+    for the d = 3 ads_combined_mode f at AdS radius R (omega = E R, rho = r / R, Delta =
+    delta_for_mass(m, R, 3)): the tube modes tend to the Minkowski ones as R^-2."""
+    h1 = specfun.radial_basis("h1", l, math.sqrt(energy * energy - mass * mass) * r)
+
+    def scaled_error(R):
+        p = AdSParams(3, ads_modes.delta_for_mass(mass, R, 3))
+        f, _, _ = flux.ads_combined_mode(p, energy * R, l, r / R)
+        return R * R * abs(f - h1) / abs(h1)
+
+    fine = scaled_error(1e4)
+    return abs(scaled_error(1e3) - fine) / fine

@@ -78,6 +78,22 @@ def _record_pieces(fields, pad):
     return pieces
 
 
+def _numbers(cells):
+    return set(map(type, cells)) <= _NUMBER
+
+
+def _number_lists(cells):
+    return set(map(type, cells)) <= {list} and _numbers(chain.from_iterable(cells))
+
+
+# the check of each field role, on a whole column or on one cell as a column of one
+_ROLES = (
+    (_numbers, "a number"),
+    (_number_lists, "a list of numbers"),
+    (lambda cells: _number_lists(cells) and {*map(len, cells)} <= {2}, "a list of two numbers [re, im]"),
+)
+
+
 def read_records(rows, numbers=(), lists=(), pairs=()):
     """Members of a list of JSON objects.
 
@@ -90,41 +106,39 @@ def read_records(rows, numbers=(), lists=(), pairs=()):
     """
     if type(rows) is not list:
         raise ValueError("expected a list of JSON objects")
+    roles = zip((numbers, lists, pairs), _ROLES)
+    fields = [(name, check, kind) for names, (check, kind) in roles for name in names]
     try:
-        columns = [list(map(itemgetter(name), rows)) for name in (*numbers, *lists, *pairs)]
-        listed = list(chain.from_iterable(columns[len(numbers) :]))
-        cells = listed[len(lists) * len(rows) :]
-        ok = (
-            set(map(type, chain.from_iterable(columns[: len(numbers)]))) <= _NUMBER
-            and set(map(type, listed)) <= {list}
-            and set(map(type, chain.from_iterable(listed))) <= _NUMBER
-            and set(map(len, cells)) <= {2}
-        )
+        columns = [list(map(itemgetter(name), rows)) for name, _, _ in fields]
+        ok = all(check(column) for column, (_, check, _) in zip(columns, fields))
     except (KeyError, TypeError):
         ok = False
     if not ok:
-        _raise_first_malformed(rows, numbers, lists, pairs)
+        _raise_first_malformed(rows, fields)
+    cells = list(chain.from_iterable(columns[len(numbers) + len(lists) :]))
     values = np.fromiter(chain.from_iterable(cells), float, 2 * len(cells)).view(complex)
     return columns[: len(numbers) + len(lists)], values.reshape(len(pairs), len(rows)).T
 
 
-def _raise_first_malformed(rows, numbers, lists, pairs):
-    kinds = (
-        (numbers, "a number", lambda v: type(v) in _NUMBER),
-        (lists, "a list of numbers", lambda v: type(v) is list and set(map(type, v)) <= _NUMBER),
-        (
-            pairs,
-            "a list of two numbers [re, im]",
-            lambda v: type(v) is list and len(v) == 2 and set(map(type, v)) <= _NUMBER,
-        ),
-    )
+def keyed(keys, values):
+    """dict(zip(keys, values)) of a file's entries in order; ValueError naming two entries
+    whose keys are equal, where the dict would silently keep the later one."""
+    table = dict(zip(keys, values))
+    if len(table) < len(keys):
+        first = {}
+        for i, key in enumerate(keys):
+            if (j := first.setdefault(key, i)) != i:
+                raise ValueError(f"entries {j} and {i} repeat a key: {keys[j]} and {key}")
+    return table
+
+
+def _raise_first_malformed(rows, fields):
     for i, row in enumerate(rows):
         if type(row) is not dict:
             raise ValueError(f"entry {i} is not a JSON object")
-        for names, kind, ok in kinds:
-            for name in names:
-                if name not in row:
-                    raise ValueError(f"entry {i} has no {name!r}")
-                if not ok(row[name]):
-                    raise ValueError(f"entry {i}: {name!r} must be {kind}, got {row[name]!r}")
+        for name, check, kind in fields:
+            if name not in row:
+                raise ValueError(f"entry {i} has no {name!r}")
+            if not check([row[name]]):
+                raise ValueError(f"entry {i}: {name!r} must be {kind}, got {row[name]!r}")
     raise ValueError("malformed list of JSON objects")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._jsonio import encode_array, read_records, records
+from ._jsonio import encode_array, keyed, read_records, records
 from .ads_modes import _channel_params, _find, _ordered_sum, is_real_solution
 from .specfun import _ARRAY, _FLOAT, _cmul, _gamma_fault, _log_gamma_float, _log_gamma_grid
 
@@ -96,7 +96,7 @@ class JFactors:
 
 def jfactors_from_json(text):
     (omegas, ls), values = read_records(json.loads(text), ("omega", "l"), pairs=_FACTORS)
-    return JFactors(dict(zip(zip(omegas, ls), values.tolist())))
+    return JFactors(keyed(list(zip(omegas, ls)), values.tolist()))
 
 
 def apply_J(jf, phi):

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._jsonio import encode_array, read_records, records
+from ._jsonio import encode_array, keyed, read_records, records
 from .harmonics import MultiIndex, all_indices
 from .specfun import (
     _ARRAY,
@@ -189,10 +189,15 @@ def radial_eval(p, omega, l, channel, rho):
 
 def radial_eval_deriv(p, omega, l, channel, rho):
     """d/drho of radial_eval, term-wise analytic differentiation."""
+    return _channel_point(p, omega, l, channel, rho)[1]
+
+
+def _channel_point(p, omega, l, channel, rho):
+    """(radial_eval, radial_eval_deriv) of a channel at one point, F summed once."""
     z, exp_sin, params = _point_channel(p, omega, l, channel, rho)
+    factors = _rho_factors(p, exp_sin, rho)
     f = hyp2f1(*params, z)
-    df = hyp2f1_dz(*params, z)
-    return _profile_deriv(_rho_factors(p, exp_sin, rho), f, df)
+    return factors[2] * f, _profile_deriv(factors, f, hyp2f1_dz(*params, z))
 
 
 @np.errstate(all="ignore")
@@ -245,15 +250,17 @@ def radial_wronskian(p, omega, l, rho):
 
     With unit leading coefficients its value is -(2l + d - 2).
     """
-    sa, dsa, sb, dsb = _radial_point(p, omega, l, rho)
+    return _wronskian(p, rho, *_radial_point(p, omega, l, rho))
+
+
+def _wronskian(p, rho, sa, dsa, sb, dsb):
+    """radial_wronskian from the channels at rho: floats, or arrays bit for bit alike."""
     return math.tan(rho) ** (p.d - 1) * (sa * dsb - sb * dsa)
 
 
 def _radial_point(p, omega, l, rho):
-    """(S_a, dS_a, S_b, dS_b) at one point, as _channel_grid gives them; values first."""
-    sa, sb = (radial_eval(p, omega, l, channel, rho) for channel in "ab")
-    dsa, dsb = (radial_eval_deriv(p, omega, l, channel, rho) for channel in "ab")
-    return sa, dsa, sb, dsb
+    """(S_a, dS_a, S_b, dS_b) at one point, as _channel_grid gives them; channel a first."""
+    return (*_channel_point(p, omega, l, "a", rho), *_channel_point(p, omega, l, "b", rho))
 
 
 class _LabelSpace(NamedTuple):
@@ -416,8 +423,8 @@ def mode_vector_from_json(text):
     (omegas, weights), _ = read_records(data["freq_grid"], ("omega", "weight"))
     rows = data["entries"]
     (omegas_e, ms, levels), ab = read_records(rows, ("omega", "m"), ("levels",), ("a", "b"))
-    keys = zip(omegas_e, map(tuple, levels), ms)
-    return ModeVector(list(zip(omegas, weights)), dict(zip(keys, zip(*ab.T.tolist()))))
+    keys = list(zip(omegas_e, map(tuple, levels), ms))
+    return ModeVector(list(zip(omegas, weights)), keyed(keys, zip(*ab.T.tolist())))
 
 
 def omega_rho(p, eta, zeta):

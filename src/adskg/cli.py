@@ -143,14 +143,8 @@ def parse_omega_range(text):
     return [round(w, 12) for w in grid if w <= stop + 1e-12]
 
 
-def symmetric_grid(omegas, include_zero=True):
-    out = set()
-    for w in omegas:
-        if w == 0.0 and not include_zero:
-            continue
-        out.add(w)
-        out.add(-w)
-    return sorted(out)
+def symmetric_grid(omegas):
+    return sorted({*omegas, *(-w for w in omegas)})
 
 
 def load_config(path):
@@ -295,12 +289,7 @@ def _build_jfactors(args, p, grid):
 def cmd_jfactor_audit(args):
     p = ads_modes.AdSParams(args.d, args.delta, args.radius)
     omegas = parse_omega_range(args.omega)
-    include_zero = args.preset != "diagonal"
-    grid = [
-        (w, l)
-        for w in symmetric_grid(omegas, include_zero=include_zero)
-        for l in range(args.lmax + 1)
-    ]
+    grid = [(w, l) for w in symmetric_grid(omegas) for l in range(args.lmax + 1)]
     jf = _build_jfactors(args, p, grid)
     rep = acs.check_conditions(jf, tol=args.tolerance)
     header = [
@@ -400,6 +389,9 @@ FLUX_ROWS = (
     ("ads", "channel_b"),
 )
 MINKOWSKI_R, ADS_RHO = 6.0, 0.7
+# a combined row's flux is 4 omega R^(d-1)/p_r times W/(-(2l+d-2)), W the Wronskian of its
+# channels, so it is off by as much as W: held to the registry's flux tolerance
+COMBINED_TOL = next(entry.tol for entry in INVARIANTS if entry.name == "mode flux values")
 
 
 @np.errstate(all="ignore")
@@ -428,10 +420,25 @@ def _flux_grid(p, omega, l, lmax, p_r, channels):
     return fluxes, verdicts
 
 
-def _row_fault(kind, w, l, flux_value, p_r, fault_a, fault_b):
+@np.errstate(all="ignore")  # faulted channels are nan and inf
+def _wronskian_residual(p, l, channels):
+    """|W/(-(2l+d-2)) - 1| of the channels (S_a, dS_a, S_b, dS_b) at ADS_RHO: floats, or
+    arrays bit for bit alike; nan where a channel is."""
+    return abs(ads_modes._wronskian(p, ADS_RHO, *channels) / -(2.0 * l + p.d - 2.0) - 1.0)
+
+
+def _wronskian_fault(w, l, residual):
+    return specfun.ConvergenceError(
+        f"ads combined flux at omega = {w}, l = {l}: its channels' Wronskian is off by "
+        f"{residual:.3g} (relative), above {COMBINED_TOL:g}"
+    )
+
+
+def _row_fault(kind, w, l, flux_value, p_r, residual, fault_a, fault_b):
     """The exception behind the faulted flux-classify row FLUX_ROWS[kind] at (w, l): what
     radial_basis or radial_basis_deriv raises at a Minkowski row's x, the fault of the
-    channels an AdS row reads (_channel_grid's, a before b), else its non-finite flux's."""
+    channels an AdS row reads (_channel_grid's, a before b), else its non-finite flux's,
+    else a combined row's Wronskian residual."""
     spacetime, name = FLUX_ROWS[kind]
     if spacetime == "minkowski":
         try:
@@ -441,6 +448,8 @@ def _row_fault(kind, w, l, flux_value, p_r, fault_a, fault_b):
             return exc
     elif fault := (fault_a or fault_b, fault_a, fault_b)[kind - 3]:  # combined, a, b
         return fault
+    if kind == 3 and math.isfinite(flux_value):
+        return _wronskian_fault(w, l, residual)
     return flux._flux_fault(spacetime, w, l, flux_value)
 
 
@@ -454,11 +463,14 @@ def cmd_flux_classify(args):
     with np.errstate(over="ignore"):  # p_r is nan below the mass shell
         p_r = np.sqrt(np.where(omega * omega > mass * mass, omega * omega - mass * mass, np.nan))
     fluxes, verdicts = _flux_grid(p, omega, l, args.lmax, p_r, channels)
+    residual = _wronskian_residual(p, l, channels)
+    verdicts[~np.isnan(p_r) & ~(residual <= COMBINED_TOL), 3] = "fault"
     # the exception behind each faulted row, in row order; then the row's flux is nan
     at, kind = faulted = np.nonzero(verdicts == "fault")
-    cells = zip(*(c.tolist() for c in (at, kind, omega[at], l[at], fluxes[faulted], p_r[at])))
+    columns = (at, kind, omega[at], l[at], fluxes[faulted], p_r[at], residual[at])
     faults = [
-        _row_fault(k, w, li, f, x, faults_a.get(i), faults_b.get(i)) for i, k, w, li, f, x in cells
+        _row_fault(k, w, li, f, x, r, faults_a.get(i), faults_b.get(i))
+        for i, k, w, li, f, x, r in zip(*(c.tolist() for c in columns))
     ]
     fluxes[faulted] = np.nan
     points, kinds = np.nonzero(np.not_equal(verdicts, None))  # the rows present

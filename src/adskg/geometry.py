@@ -185,10 +185,9 @@ class PolyVectorField:
 
     def apply_to(self, f):
         """Directional derivative V(f) of a Polynomial f."""
-        out = Polynomial(self.n)
-        for i, comp in enumerate(self.components):
-            out = out + comp * f.diff(i)
-        return out
+        acc = {}
+        _add_transport(acc, self, f, 1)
+        return Polynomial(self.n, acc)
 
     def evaluate(self, values):
         return tuple(c.evaluate(values) for c in self.components)

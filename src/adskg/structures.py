@@ -133,10 +133,6 @@ class ComplexStructureMatrix:
         if np.abs(j.T @ om @ j - om).max() > 1e-10 * max(1.0, np.abs(om).max()):
             raise ValueError("J is not compatible with omega")
 
-    def reversed_orientation(self):
-        """The structure paired with the oppositely oriented surface."""
-        return ComplexStructureMatrix(self.space, -self.j)
-
 
 def g_inner_from_J(sp, J, u, v):
     """Real g-product and inner product induced by a complex structure.

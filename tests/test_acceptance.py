@@ -330,3 +330,11 @@ def test_criterion_10_structures():
     _, om_val = theta_omega_quadrature(eta, zeta, orientation=1)
     assert abs(om_val.imag) <= 1e-12
     ok(10, "polarization identities, subspace classifier vs oracle, plane-wave omega")
+
+
+def test_criterion_11_flat_limit():
+    # at m = 1, E = 2 (p = sqrt 3) the radius r sets p r = 0.5 .. 15; the d = 3 combined
+    # mode's error against h1_l(p r) falls as R^-2 for every l <= 10
+    rs = (np.linspace(0.5, 15.0, 12) / math.sqrt(3.0)).tolist()
+    assert_holds("flat limit", [(l, 1.0, 2.0, r) for l in range(11) for r in rs])
+    ok(11, "d = 3 combined tube mode tends to h1(p r) as R^-2, l <= 10, p r <= 15")

@@ -69,7 +69,6 @@ class TestHelpers:
 
     def test_symmetric_grid(self):
         assert cli.symmetric_grid([0.0, 1.0]) == [-1.0, 0.0, 1.0]
-        assert cli.symmetric_grid([0.0, 1.0], include_zero=False) == [-1.0, 1.0]
 
     def test_fmt_is_17_digits(self):
         assert cli.fmt(math.pi) == f"{math.pi:.17g}"
@@ -84,7 +83,7 @@ class TestSelfcheck:
         for line, entry in zip(lines, INVARIANTS):
             assert line.startswith(f"[pass] {entry.name}: residual ")
             assert line.endswith(f", tol {entry.tol:g}")
-        assert lines[-1] == "13/13 checks passed"
+        assert lines[-1] == "14/14 checks passed"
 
     def test_evanescent_check_catches_a_sign_error(self, monkeypatch, capsys):
         # j_evan computed with the oscillating sign is j_l, not i_l: still real
@@ -93,7 +92,7 @@ class TestSelfcheck:
         assert cli.main(["selfcheck"]) == cli.EXIT_INVARIANT
         out = capsys.readouterr().out
         assert "[fail] evanescent series real: residual " in out
-        assert "12/13 checks passed" in out
+        assert "13/14 checks passed" in out
 
     def test_nan_residual_fails(self, monkeypatch, capsys):
         radial_basis = specfun.radial_basis
@@ -185,6 +184,15 @@ class TestJfactorAudit:
             cells = line.split(",")
             assert cells[i_pos] == "False"
             assert cells[i_case] == "diagonal"
+
+    def test_diagonal_preset_has_no_zero_frequency(self, tmp_path):
+        # the sign split of the diagonal J has no value at omega = 0, so its grid skips it
+        out = tmp_path / "audit.json"
+        argv = ["jfactor-audit", "--preset", "diagonal", "--omega", "0:2:0.5", "--lmax", "1"]
+        assert cli.main(argv + ["--format", "json", "--out", str(out)]) == cli.EXIT_OK
+        rows = json.loads(out.read_text())
+        omegas = [-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0]
+        assert [(row["omega"], row["l"]) for row in rows] == [(w, l) for w in omegas for l in (0, 1)]
 
     def test_candidate_preset_runs(self, tmp_path):
         out = tmp_path / "audit.csv"
@@ -303,6 +311,29 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert err == "config error: j-factor key (omega, l) = (nan, 0) has a non-finite omega\n"
 
+    def test_repeated_mode_key(self, tmp_path, capsys):
+        # a dict of the entries would keep the second (a = 2) and drop the first
+        entry = {"omega": 0.5, "levels": [0], "m": 0, "a": [1.0, 0.0], "b": [0.0, 0.0]}
+        data = {"freq_grid": [{"omega": 0.5, "weight": 1.0}], "entries": [entry, {**entry, "a": [2.0, 0.0]}]}
+        path = tmp_path / "modes.json"
+        path.write_text(json.dumps(data))
+        out = str(tmp_path / "audit.csv")
+        assert cli.main(self.ARGV + ["--modes", str(path), "--out", out]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err  # after the audit's own line
+        assert err.endswith("config error: entries 0 and 1 repeat a key: (0.5, (0,), 0) and (0.5, (0,), 0)\n")
+
+    def test_repeated_jfactor_key(self, tmp_path, capsys):
+        # omega -0.0 equals 0.0, so the two entries at l = 0 are one key
+        from adskg.ads_complex_structure import diagonal_jfactors
+
+        rows = json.loads(diagonal_jfactors([(w, l) for w in (-0.5, 0.5) for l in (0, 1)]).to_json())
+        rows[1:1] = [{**rows[0], "omega": 0.0}, {**rows[0], "omega": -0.0}]
+        path = tmp_path / "jf.json"
+        path.write_text(json.dumps(rows))
+        assert cli.main(self.ARGV + ["--jfactors", str(path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "config error: entries 1 and 2 repeat a key: (0.0, 0) and (-0.0, 0)\n"
+
     def test_not_a_list(self, tmp_path):
         path = tmp_path / "jf.json"
         path.write_text(json.dumps({"omega": 0.5}))
@@ -361,7 +392,9 @@ class TestFluxClassify:
         rc = cli.main(["flux-classify"] + argv)
         out, err = capsys.readouterr()
         assert rc == cli.EXIT_NUMERIC and ",fault\n" in out
-        assert err.startswith(f"numeric error: {message}\n")
+        # at omega = 200 combined rows ahead of it fault on their channels' Wronskian
+        lines = [line for line in err.splitlines() if "ads combined flux at" not in line]
+        assert lines[0] == f"numeric error: {message}"
 
     @pytest.mark.parametrize(
         "argv, faulted",
@@ -456,7 +489,7 @@ class TestExitCodes:
 
     def test_lowest_quadrature_order_passes(self, capsys):
         assert cli.main(["selfcheck", "--quadrature-order", "4"]) == cli.EXIT_OK
-        assert "13/13 checks passed" in capsys.readouterr().out
+        assert "14/14 checks passed" in capsys.readouterr().out
 
 
 class TestOptionTable:

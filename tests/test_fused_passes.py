@@ -26,11 +26,18 @@ def outcome(fn, *args):
 
 
 def assert_channel_grid_is_radial_eval(p, omega, l, rho=0.7):
-    """Every value and fault of _channel_grid against radial_eval and radial_eval_deriv.
-    Returns the points that fault in channel a and in channel b."""
+    """Every value and fault of _channel_grid against radial_eval and radial_eval_deriv,
+    and radial_wronskian of each point: _wronskian of the point's channels, or the fault of
+    channel a, else of channel b.  Returns the points that fault in channel a and in b."""
     omega, l = np.asarray(omega, dtype=float), np.asarray(l)
     channels, faults = ads_modes._channel_grid(p, omega, l, rho)
+    wronskians = ads_modes._wronskian(p, rho, *channels)
     for i, (w, li) in enumerate(zip(omega.tolist(), l.tolist())):
+        wronskian = outcome(ads_modes.radial_wronskian, p, w, li, rho)
+        if fault := faults[0].get(i) or faults[1].get(i):
+            assert (type(wronskian), str(wronskian)) == (type(fault), str(fault))
+        else:
+            assert repr(wronskian) == repr(wronskians[i].item())
         for k, channel in enumerate("ab"):
             value = outcome(ads_modes.radial_eval, p, w, li, channel, rho)
             deriv = outcome(ads_modes.radial_eval_deriv, p, w, li, channel, rho)
@@ -85,7 +92,10 @@ def test_value_and_derivative_series_both_fault():
 
 
 def assert_radial_grid_is_radial_basis(x, lmax):
+    """Every value of _radial_grid is radial_basis's or radial_basis_deriv's by repr, and
+    not finite where they raise.  Returns the types of the exceptions they raised."""
     x = np.asarray(x, dtype=float)
+    raised = set()
     for kind, (values, derivs) in zip(("h1", "j", "n"), specfun._radial_grid(x, lmax)):
         assert values.shape == derivs.shape == (x.size, lmax + 1)
         for fn, grid in ((specfun.radial_basis, values), (specfun.radial_basis_deriv, derivs)):
@@ -94,9 +104,11 @@ def assert_radial_grid_is_radial_basis(x, lmax):
                     ref = outcome(fn, kind, l, xi)
                     got = grid[i, l].item()
                     if isinstance(ref, Exception):
+                        raised.add(type(ref))
                         assert not (math.isfinite(got.real) and math.isfinite(got.imag))
                     else:
                         assert repr(got) == repr(ref)
+    return raised
 
 
 @pytest.mark.parametrize(
@@ -113,6 +125,25 @@ def assert_radial_grid_is_radial_basis(x, lmax):
 )
 def test_radial_grid_on_one_side_of_the_crossover(x, lmax):
     assert_radial_grid_is_radial_basis(x, lmax)
+
+
+def radial_points():
+    """x on both sides of the series/trig crossover l + 4 and next to it, small and large
+    x, and x where the float forms raise: the n series overflows (tiny x), a power of x
+    overflows (x^2 for x > 1.4e154)."""
+    xs = [1e-30, 1e-8, 0.01, 0.3, 1.0, 2.5, 7.3, 19.0, 33.3, 100.0, 1e3, 1e60, 1e120, 1e154, 3e154]
+    for l in range(13):
+        c = l + 4.0
+        xs += [c, math.nextafter(c, 0.0), math.nextafter(c, math.inf), c - 0.1, c + 0.1, c - 1.0]
+    return sorted(set(xs))
+
+
+@pytest.mark.parametrize("lmax", [0, 1, 12])
+def test_radial_grid_bit_equal_to_radial_basis(lmax):
+    raised = assert_radial_grid_is_radial_basis(radial_points(), lmax)
+    assert OverflowError in raised
+    if lmax == 12:
+        assert ZeroDivisionError in raised  # h1 at x = 1e-30: x^13 underflows to 0
 
 
 def test_one_hyp2f1_pass_per_channel_grid(monkeypatch):

@@ -138,6 +138,18 @@ class TestLieBracketExact:
             assert got == textbook_bracket(v, w)
             assert all(type(c) is Fraction for p in got.components for c in p.coeffs.values())
 
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_apply_to_is_the_textbook_derivative(self, n):
+        # apply_to shares lie_bracket's transport sum; V(f) = sum_P V^P d_P f is the reference
+        rng = np.random.default_rng(200 + n)
+        for _ in range(25):
+            v, f = random_field(rng, n), random_field(rng, n).components[0]
+            want = Polynomial(n)
+            for p in range(n):
+                want = want + v.components[p] * f.diff(p)
+            got = v.apply_to(f)
+            assert got == want and all(type(c) is Fraction for c in got.coeffs.values())
+
     def test_non_integer_coefficients_survive(self):
         n = 2
         x, y = Polynomial.variable(n, 0), Polynomial.variable(n, 1)

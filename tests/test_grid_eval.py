@@ -232,7 +232,8 @@ def test_candidate_jfactors_pole_is_the_first_key():
 def scalar_flux_row(p, kind, w, l, p_r):
     """The DirectionVerdict of one flux-classify row (cli.FLUX_ROWS name kind) by the
     scalar functions, or the exception they raise.  A combined row takes channel a's
-    fault before channel b's."""
+    fault before channel b's; with a finite flux it faults where radial_wronskian is off
+    by more than 1e-8 relative, since its flux then is too."""
     try:
         if kind in ("h1", "j", "n"):
             f = specfun.radial_basis(kind, l, p_r * 6.0)
@@ -244,7 +245,9 @@ def scalar_flux_row(p, kind, w, l, p_r):
                 fa, dfa, _ = flux.ads_combined_mode(p, w, l, 0.7)
             except ArithmeticError:
                 return combined_flux_fault(p, w, l, channels)
-            return flux.mode_flux("ads", p, w, l, (fa, dfa), rho=0.7)
+            verdict = flux.mode_flux("ads", p, w, l, (fa, dfa), rho=0.7)
+            residual = abs(ads_modes.radial_wronskian(p, w, l, 0.7) / -(2.0 * l + p.d - 2.0) - 1.0)
+            return verdict if residual <= 1e-8 else cli._wronskian_fault(w, l, residual)
         channel = kind[-1]
         fr = ads_modes.radial_eval(p, w, l, channel, 0.7)
         dfr = ads_modes.radial_eval_deriv(p, w, l, channel, 0.7)
@@ -317,7 +320,9 @@ class TestFluxClassify:
         assert isinstance(ref, ConvergenceError) and "not decreasing" in str(ref)
         argv = ["--d", "3", "--delta", "45.1208390683", "--omega", "79:81:0.5", "--lmax", "36"]
         _, faults = assert_flux_run_is_the_scalar_loops(argv, monkeypatch, capsys)
-        assert [str(exc) for exc in faults] == [str(ref)] * 2  # the combined and channel_b rows
+        # the combined and channel_b rows; other combined rows fault on their Wronskian
+        named = [str(exc) for exc in faults if not str(exc).startswith("ads combined flux at")]
+        assert named == [str(ref)] * 2
         omega, l = cli._sweep_points(cli.parse_omega_range("79:81:0.5"), 36)
         _, (faults_a, faults_b) = ads_modes._channel_grid(p, omega, l, 0.7)
         point = int(np.flatnonzero((omega == 80.0) & (l == 34))[0])
@@ -365,45 +370,6 @@ def test_roadmap_flux_grid_file_equals_scalar_loop(out_format, roadmap_flux_rows
     assert len(roadmap_flux_rows) == 13 * 11 * 2 + 178 * 11 * 6  # 13 omegas below the shell
 
 
-def radial_points():
-    """x on both sides of the series/trig crossover l + 4 and next to it, small and large
-    x, and x where the float forms raise: the n series overflows (tiny x), a power of x
-    overflows (x^2 for x > 1.4e154)."""
-    xs = [1e-30, 1e-8, 0.01, 0.3, 1.0, 2.5, 7.3, 19.0, 33.3, 100.0, 1e3, 1e60, 1e120, 1e154, 3e154]
-    for l in range(13):
-        c = l + 4.0
-        xs += [c, math.nextafter(c, 0.0), math.nextafter(c, math.inf), c - 0.1, c + 0.1, c - 1.0]
-    return np.array(sorted(set(xs)))
-
-
-def value_or_error(fn, *args):
-    try:
-        return fn(*args)
-    except (ArithmeticError, ValueError) as exc:
-        return exc
-
-
-@pytest.mark.parametrize("lmax", [0, 1, 12])
-def test_radial_grid_bit_equal_to_radial_basis(lmax):
-    x = radial_points()
-    raised = set()
-    for kind, (values, derivs) in zip(("h1", "j", "n"), specfun._radial_grid(x, lmax)):
-        assert values.shape == derivs.shape == (x.size, lmax + 1)
-        for fn, grid in ((specfun.radial_basis, values), (specfun.radial_basis_deriv, derivs)):
-            for i, xi in enumerate(x.tolist()):
-                for l in range(lmax + 1):
-                    ref = value_or_error(fn, kind, l, xi)
-                    got = grid[i, l].item()
-                    if isinstance(ref, Exception):
-                        raised.add(type(ref))
-                        assert not (math.isfinite(got.real) and math.isfinite(got.imag))
-                    else:
-                        assert repr(got) == repr(ref)
-    assert OverflowError in raised
-    if lmax == 12:
-        assert ZeroDivisionError in raised  # h1 at x = 1e-30: x^13 underflows to 0
-
-
 def test_radial_grid_n_series_overflow_is_a_fault_of_j_and_n():
     # _j_n sums both series below the crossover, so radial_basis("j") raises n's overflow
     x = np.array([1e-30, 0.5])
@@ -419,14 +385,16 @@ def test_radial_grid_n_series_overflow_is_a_fault_of_j_and_n():
 # Each grid faults; the first fault is, in turn: channel b's pole at a point above the
 # shell (after its Minkowski rows), channel a's value series summing to -inf at l = 0,
 # a nan combined flux at l = 21 next to the shell, an x^2 overflow in the l = 0 h1
-# derivative (a Minkowski row first), and an a_k(l + 1/2) beyond the float range from
-# l = 86 on (h1 value).
+# derivative (a Minkowski row first), the combined row's Wronskian residual at
+# omega = 200, l = 0, ahead of an a_k(l + 1/2) beyond the float range from l = 86 on
+# (h1 value), and the combined rows' Wronskian residuals from omega = 36, l = 1 on.
 FAULT_GRIDS = [
     ["--d", "4", "--omega", "2:3:0.5"],
     ["--omega", "3000:3001:1"],
     ["--d", "3", "--delta", "4", "--omega", "2.000000000001:2.000000000001:1", "--lmax", "60"],
     ["--omega", "1e154:1e154:1"],
     ["--omega", "200:201:0.5", "--lmax", "90"],
+    ["--omega", "34:42:1", "--lmax", "10"],
 ]
 
 
@@ -434,6 +402,21 @@ FAULT_GRIDS = [
 def test_fault_is_the_scalar_loops_first(argv, monkeypatch, capsys):
     _, faults = assert_flux_run_is_the_scalar_loops(argv, monkeypatch, capsys)
     assert faults
+
+
+@pytest.mark.parametrize("omega, faulted", [("20:60:1", 239), ("20:120:1", 899)])
+def test_combined_row_off_its_closed_form_faults(omega, faulted, monkeypatch, capsys):
+    # above omega ~ 35 the channels' Wronskian drifts from -(2l + d - 2), and the combined
+    # flux with it: those rows fault, and every other one is within 1e-8 of 4 omega / p_r
+    argv = ["flux-classify", "--omega", omega, "--lmax", "10"]
+    rc, rows, err = run_cli(argv, monkeypatch, capsys)
+    combined = [row for row in rows if row[1] == "combined"]
+    clean = [(w, value) for _, _, w, _, value, verdict in combined if verdict != "fault"]
+    assert rc == cli.EXIT_NUMERIC and len(combined) - len(clean) == faulted
+    assert all(line.startswith("numeric error: ads combined flux at") for line in err.splitlines())
+    for w, value in clean:
+        want = 4.0 * w / math.sqrt(w * w - 4.2 * (4.2 - 3.0))
+        assert abs(value - want) <= 1e-8 * want
 
 
 def test_n_series_overflow_point_fails_as_the_scalar_loop():
@@ -454,7 +437,7 @@ def test_n_series_overflow_point_fails_as_the_scalar_loop():
     for kind, name in enumerate(("h1", "j", "n")):
         refs.append(scalar_flux_row(p, name, w, first, p_r[first].item()))
         assert verdicts[first, kind] == "fault"
-        got = cli._row_fault(kind, w, first, fluxes[first, kind].item(), p_r[first].item(), None, None)
+        got = cli._row_fault(kind, w, first, fluxes[first, kind].item(), p_r[first].item(), None, None, None)
         assert_same(got, refs[-1])
     assert str(refs[0]).startswith(f"minkowski flux at omega = {w}, l = {first} is")
     assert str(refs[1]) == str(refs[2]) == f"n_{first} overflows at x = {x}"

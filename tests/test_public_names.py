@@ -6,6 +6,7 @@ import ast
 import importlib
 import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -47,3 +48,40 @@ def test_ops_tables_match_their_readers():
         "_FLOAT": set(),
         "_ARRAY": set(),
     }
+
+
+def _names_read(tree):
+    """The names a module's code reads: names, attributes, and the words of its string
+    constants other than docstrings (setattr, tracing targets and __all__ name functions
+    by strings)."""
+    docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and type(node.value) is str and id(node) not in docstrings:
+            yield from re.findall(r"\w+", node.value)
+
+
+def test_every_function_is_referenced():
+    # a function or method of the package that no code names is dead; dunder methods are
+    # called by Python and @invariant rules through the registry
+    root = pathlib.Path(adskg.__file__).parents[2]
+    read = set()
+    for top in ("src", "tests", "demos", "perfbench"):
+        for path in (root / top).rglob("*.py"):
+            read.update(_names_read(ast.parse(path.read_text())))
+    unread = []
+    for path in pathlib.Path(adskg.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            rule = any(
+                isinstance(dec, ast.Call) and getattr(dec.func, "id", None) == "invariant"
+                for dec in node.decorator_list
+            )
+            dunder = node.name.startswith("__") and node.name.endswith("__")
+            if node.name not in read and not (rule or dunder):
+                unread.append(f"{path.name}: {node.name}")
+    assert unread == []
