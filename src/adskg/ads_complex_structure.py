@@ -56,7 +56,7 @@ class JFactors:
     __slots__ = ("_codes", "_values")
 
     def __init__(self, table):
-        store = {(float(omega), int(l)): row for (omega, l), row in table.items()}
+        store = {(float(omega), _key_l(omega, l)): row for (omega, l), row in table.items()}
         keys = sorted(store)
         # omega + i l: numpy orders complex numbers lexicographically, so
         # the codes of the sorted keys are sorted and searchable
@@ -82,16 +82,24 @@ class JFactors:
         return list(zip(self._codes.real.tolist(), self._codes.imag.astype(int).tolist()))
 
     def get(self, omega, l):
-        return tuple(self._at(complex(float(omega), int(l))).tolist())
+        return tuple(self._at(complex(float(omega), _key_l(omega, l))).tolist())
 
     def has(self, omega, l):
-        return bool(_find(self._codes, complex(float(omega), int(l))) >= 0)
+        return bool(_find(self._codes, complex(float(omega), _key_l(omega, l))) >= 0)
 
     def to_json(self):
         omegas, ls = self._codes.real, self._codes.imag.astype(int)
         cells = np.column_stack([encode_array(a) for a in (omegas, ls, self._values.view(float))])
         fields = [("omega", None), ("l", None)] + [(name, 2) for name in _FACTORS]
         return records(fields, len(self._codes), cells.ravel().tolist())
+
+
+def _key_l(omega, l):
+    """The l of an (omega, l) j-factor key as an int; ValueError naming a key whose l is
+    not an integer."""
+    if l % 1:
+        raise ValueError(f"j-factor key (omega, l) = {(omega, l)} has a non-integer l")
+    return int(l)
 
 
 def jfactors_from_json(text):
@@ -447,7 +455,7 @@ def candidate_jfactors(which, p, grid):
     if not keys:
         return JFactors({})
     omegas, ls = zip(*keys)
-    [(values, faults)] = _candidate_grids([which], p, omegas, np.array(ls, dtype=int))
+    [(values, faults)] = _candidate_grids([which], p, omegas, np.array(list(map(_key_l, omegas, ls))))
     table = {}
     for i, (key, jab) in enumerate(zip(keys, values.tolist())):
         if i in faults:

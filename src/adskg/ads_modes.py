@@ -6,9 +6,10 @@ regular at the origin, channel b singular.  The radial profiles are
 hypergeometric in sin^2(rho); their conserved relative Wronskian is what
 makes the mode-space symplectic structure hypersurface independent.
 
-A channel's set-up (sin exponent, 2F1 parameters, channel b's pole) is
-stated once for floats and arrays: radial_eval[_deriv] drive it at one
-point and _channel_grid over a grid, bit for bit alike (libm per element).
+A channel's set-up (sin exponent, 2F1 parameters) is stated once for
+floats and arrays: radial_eval[_deriv] drive it at one point and
+_channel_grid over a grid, bit for bit alike (libm per element).  The
+labels d and l are integers, so channel b's series exists exactly for odd d.
 """
 
 import functools
@@ -22,14 +23,11 @@ import numpy as np
 from ._jsonio import encode_array, keyed, read_records, records
 from .harmonics import MultiIndex, all_indices
 from .specfun import (
-    _ARRAY,
-    _FLOAT,
     _HYP_Z_MAX,
     PoleError,
     _cmul,
     _dz_series,
     _hyp2f1_grid,
-    _near_pole,
     hyp2f1,
     hyp2f1_dz,
 )
@@ -63,6 +61,8 @@ class AdSParams:
     def __post_init__(self):
         if self.d < 3:
             raise ValueError("AdSParams requires d >= 3")
+        if self.d % 1:
+            raise ValueError(f"AdSParams requires an integer d, got d = {self.d}")
         if self.R <= 0.0:
             raise ValueError("AdSParams requires R > 0")
         if not self.Delta > (self.d - 1) / 2.0:
@@ -104,10 +104,18 @@ def hypergeo_params(p, omega, l):
 def _channel_params(p, omega, l):
     """(alpha_a, beta_a, alpha_b, beta_b, gamma): floats, or arrays for arrays omega and l.
 
-    A negative l raises, at a point or anywhere in an array (a numpy
-    reduction would cost microseconds at every point).
+    l must be an integer: a number of integer value, or an array of an
+    integer dtype, so that no numpy reduction over its values is added.  A
+    negative l raises, at a point or anywhere in an array.
     """
-    if (l.min(initial=0) if isinstance(l, np.ndarray) else l) < 0:
+    if isinstance(l, np.ndarray):
+        if not np.issubdtype(l.dtype, np.integer):
+            raise ValueError(f"hypergeo_params requires an integer l, got an array of {l.dtype}")
+        if l.min(initial=0) < 0:
+            raise ValueError("hypergeo_params requires l >= 0")
+    elif l % 1:
+        raise ValueError(f"hypergeo_params requires an integer l, got l = {l}")
+    elif l < 0:
         raise ValueError("hypergeo_params requires l >= 0")
     dd = p.Delta
     return (
@@ -127,16 +135,21 @@ def _check_rho(rho):
     return z
 
 
-def _channel(p, omega, l, channel, ops):
-    """Sin exponent, 2F1 parameters (a, b, c) and pole flags of c of a channel: floats
-    (ops _FLOAT), or arrays for arrays omega and l (_ARRAY).  Channel a's c = l + d/2 is
-    never a pole; channel b's c = 2 - l - d/2 is one for even d."""
+def _channel(p, omega, l, channel):
+    """Sin exponent and 2F1 parameters (a, b, c) of a channel: floats, or arrays for
+    arrays omega and l."""
     aa, ba, ab, bb, gamma = _channel_params(p, omega, l)
     if channel == "a":
-        return l, (aa, ba, gamma), False
+        return l, (aa, ba, gamma)
     if channel == "b":
-        return 2.0 - p.d - l, (ab, bb, 2.0 - gamma), _near_pole(2.0 - gamma, ops)
+        return 2.0 - p.d - l, (ab, bb, 2.0 - gamma)
     raise ValueError(f"unknown channel {channel!r}")
+
+
+def _b_pole(p):
+    """Whether channel b has no series: its c = 2 - l - d/2 is a nonpositive integer at
+    every l for even d (DLMF 15.2), and channel a's c = l + d/2 never is."""
+    return p.d % 2 == 0
 
 
 def _channel_pole(p, c):
@@ -149,8 +162,8 @@ def _point_channel(p, omega, l, channel, rho):
     """sin^2 rho, the sin exponent and (a, b, c) of a channel at one point;
     raises what radial_eval raises."""
     z = _check_rho(rho)
-    exp_sin, params, pole = _channel(p, omega, l, channel, _FLOAT)
-    if pole:
+    exp_sin, params = _channel(p, omega, l, channel)
+    if channel == "b" and _b_pole(p):
         raise _channel_pole(p, params[2])
     return z, exp_sin, params
 
@@ -204,45 +217,38 @@ def _channel_point(p, omega, l, channel, rho):
 def _channel_grid(p, omega, l, rho):
     """(S_a, dS_a, S_b, dS_b) at one rho over arrays omega and l (ints), and the faults.
 
-    Bit for bit radial_eval and radial_eval_deriv of each point.  The four
-    series, F and the derivative's shifted series of each channel over its
-    points off channel b's pole, are summed in one _hyp2f1_grid pass.  faults
-    holds one dict per channel (a, b) that maps the index of a point where
-    those raise to the exception: channel b's pole, else the value series'
-    fault, else the derivative series' fault.  The values a fault spoils are nan.
+    Bit for bit radial_eval and radial_eval_deriv of each point.  One
+    _hyp2f1_grid pass sums whole blocks of l.size elements: F and the
+    derivative's shifted series of channel a, then of channel b for odd d.
+    faults holds one dict per channel (a, b) that maps the index of a point
+    where those raise to the exception: channel b's pole at every point for
+    even d, else the value series' fault, else the derivative series' fault.
+    The values a fault spoils are nan.
     """
     z = _check_rho(rho)
     omega, l = np.asarray(omega, dtype=float), np.asarray(l)
-    channels, series = [], []
-    for name in "ab":
-        exp_sin, (a, b, c), pole = _channel(p, omega, l, name, _ARRAY)
-        pole = np.broadcast_to(pole, l.shape)
-        poles = {i: _channel_pole(p, c.item(i)) for i in np.flatnonzero(pole).tolist()}
-        points = np.flatnonzero(~pole)
-        a, b, c = a[points], b[points], c[points]
-        factor, shifted = _dz_series(a, b, c)
-        channels.append((exp_sin[points], points, poles, factor))
-        series += [(a, b, c), shifted]
+    channels = [_channel(p, omega, l, name) for name in "ab"]
+    faults_b = {}
+    if _b_pole(p):  # channel b has no block: each point faults on its c
+        _, (_, _, c) = channels.pop()
+        faults_b = {i: _channel_pole(p, ci) for i, ci in enumerate(c.tolist())}
+    # per summed channel: sin exponent, (a, b, c), and the derivative's factor and series
+    summed = [(exp_sin, params, *_dz_series(*params)) for exp_sin, params in channels]
+    series = [params for _, value, _, shifted in summed for params in (value, shifted)]
     values, faults = _hyp2f1_grid(*map(np.concatenate, zip(*series)), z)
-    # the blocks of the one pass: channel a's F and shifted F, then channel b's
-    ends = np.cumsum([0] + [len(params[0]) for params in series]).tolist()
-    blocks = [
-        (values[lo:hi], {i - lo: exc for i, exc in faults.items() if lo <= i < hi})
-        for lo, hi in zip(ends, ends[1:])
-    ]
-    out, point_faults = [], []
-    for (exp_sin, points, poles, factor), (f, f_faults), (f1, f1_faults) in zip(
-        channels, blocks[::2], blocks[1::2]
-    ):
-        point_faults.append(poles | {points.item(i): exc for i, exc in (f1_faults | f_faults).items()})
+    point_faults = ({}, faults_b)
+    for i in sorted(faults):  # each value block comes before its derivative block
+        block, point = divmod(i, l.size)
+        point_faults[block // 2].setdefault(point, faults[i])
+    out = np.full((4, *l.shape), np.nan)
+    blocks = values.reshape(len(series), *l.shape)
+    for k, (exp_sin, _, factor, _) in enumerate(summed):
+        f, f1 = blocks[2 * k : 2 * k + 2]
         # the powers of sin and cos per exponent, taken as radial_eval takes them
         exps, at = np.unique(exp_sin, return_inverse=True)
         factors = np.reshape([_rho_factors(p, e, rho) for e in exps.tolist()], (-1, 5))[at].T
-        for part in (factors[2] * f, _profile_deriv(factors, f, factor * f1)):
-            full = np.full(l.shape, np.nan)
-            full[points] = part
-            out.append(full)
-    return tuple(out), tuple(point_faults)
+        out[2 * k], out[2 * k + 1] = factors[2] * f, _profile_deriv(factors, f, factor * f1)
+    return tuple(out), point_faults
 
 
 def radial_wronskian(p, omega, l, rho):

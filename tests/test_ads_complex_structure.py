@@ -359,6 +359,20 @@ class TestJson:
         with pytest.raises(ValueError, match=rf"\(omega, l\) = \({omega}, 0\) has a non-finite omega"):
             JFactors({(0.5, 0): v, (omega, 0): v, (-0.5, 0): v})
 
+    def test_non_integer_l_key_refused(self):
+        # truncating l would file (0.5, 0.5) under the key (0.5, 0) and replace its entry
+        v = (1j, 0j, 0j, 1j)
+        message = r"\(omega, l\) = \(0.5, 0.5\) has a non-integer l"
+        with pytest.raises(ValueError, match=message):
+            JFactors({(0.5, 0): v, (0.5, 0.5): v})
+        with pytest.raises(ValueError, match=message):
+            candidate_jfactors(1, P3, [(0.5, 0.5), (-0.5, 0.5)])
+        assert JFactors({(0.5, 1.0): v}).keys() == [(0.5, 1)]
+        # a lookup at l = 0.5 is refused too, not answered by the (0.5, 0) entry
+        for lookup in (JFactors({(0.5, 0): v}).get, JFactors({(0.5, 0): v}).has):
+            with pytest.raises(ValueError, match=message):
+                lookup(0.5, 0.5)
+
     def test_round_trip(self):
         jf = candidate_jfactors(2, P3, GRID)
         back = jfactors_from_json(jf.to_json())

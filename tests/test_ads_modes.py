@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from adskg.ads_complex_structure import candidate_jab
 from adskg.ads_modes import (
     AdSParams,
     ModeVector,
+    _channel_grid,
     act_rotation,
     act_time_translation,
     delta_for_mass,
@@ -38,6 +40,12 @@ class TestParams:
             AdSParams(d=3, Delta=delta, R=r)
         assert str(exc.value) == f"AdSParams requires finite Delta and R, got Delta = {delta}, R = {r}"
 
+    @pytest.mark.parametrize("d", [4.5, 4 + 1e-10, math.nan])
+    def test_non_integer_d_is_refused(self, d):
+        # channel b's pole is a rule of integer d; 4 + 1e-10 would otherwise read as even d
+        with pytest.raises(ValueError, match=f"AdSParams requires an integer d, got d = {d}"):
+            AdSParams(d=d, Delta=4.2)
+
     def test_delta_for_mass_massless(self):
         assert delta_for_mass(0.0, 1.0, 3) == pytest.approx(3.0)
 
@@ -62,6 +70,30 @@ class TestHypergeoParams:
                 hm = hypergeo_params(p, -omega, l)
                 assert hm.alpha_a == hp.beta_a and hm.beta_a == hp.alpha_a
                 assert hm.alpha_b == hp.beta_b and hm.beta_b == hp.alpha_b
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda p, l: hypergeo_params(p, 1.0, l),
+            lambda p, l: radial_eval(p, 1.0, l, "a", 0.7),
+            lambda p, l: radial_eval(p, 1.0, l, "b", 0.7),
+            lambda p, l: candidate_jab(1, p, 1.0, l),
+        ],
+    )
+    @pytest.mark.parametrize("l", [0.5, 1.5, math.nan])
+    def test_non_integer_l_is_refused(self, evaluate, l):
+        # at l = 0.5 channel b's c = 2 - l - d/2 is 0 at odd d: a pole of a series
+        # that exists for every integer l
+        with pytest.raises(ValueError, match=f"requires an integer l, got l = {l}"):
+            evaluate(AdSParams(3, 4.2), l)
+
+    def test_array_l_needs_an_integer_dtype(self):
+        # a float array of integer values is refused too: no test of the values per point
+        p = AdSParams(3, 4.2)
+        for l in ([0.5], [1.0]):
+            with pytest.raises(ValueError, match="requires an integer l, got an array of float64"):
+                _channel_grid(p, [1.0], np.array(l), 0.7)
+        assert _channel_grid(p, [1.0], np.array([1]), 0.7)[1] == ({}, {})
 
     def test_shifted_alpha_b(self):
         # alpha_b - 1 = (Delta - omega - l - d) / 2, the boost-recurrence factor

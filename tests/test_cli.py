@@ -311,6 +311,17 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert err == "config error: j-factor key (omega, l) = (nan, 0) has a non-finite omega\n"
 
+    def test_non_integer_l_key(self, tmp_path, capsys):
+        from adskg.ads_complex_structure import diagonal_jfactors
+
+        rows = json.loads(diagonal_jfactors([(w, l) for w in (-1.0, -0.5, 0.5, 1.0) for l in (0, 1)]).to_json())
+        rows[2]["l"] = 0.5
+        path = tmp_path / "jf.json"
+        path.write_text(json.dumps(rows))
+        assert cli.main(self.ARGV + ["--jfactors", str(path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "config error: j-factor key (omega, l) = (-0.5, 0.5) has a non-integer l\n"
+
     def test_repeated_mode_key(self, tmp_path, capsys):
         # a dict of the entries would keep the second (a = 2) and drop the first
         entry = {"omega": 0.5, "levels": [0], "m": 0, "a": [1.0, 0.0], "b": [0.0, 0.0]}

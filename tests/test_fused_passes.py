@@ -61,6 +61,11 @@ def test_even_d_channel_b_block_is_empty(d, delta):
     omega, l = cli._sweep_points([-2.5, 0.0, 0.5, 3.25, 9.0], 5)
     fault_a, fault_b = assert_channel_grid_is_radial_eval(ads_modes.AdSParams(d, delta), omega, l)
     assert fault_a == [] and fault_b == list(range(omega.size))
+    faults_b = ads_modes._channel_grid(ads_modes.AdSParams(d, delta), omega, l, 0.7)[1][1]
+    for i, li in enumerate(l.tolist()):
+        assert type(faults_b[i]) is specfun.PoleError
+        c = 2.0 - (li + d / 2.0)
+        assert str(faults_b[i]) == f"channel b series parameter 2 - gamma = {c} is a nonpositive integer (even d = {d})"
 
 
 def test_faults_in_channel_a_only():
@@ -83,7 +88,7 @@ def test_value_and_derivative_series_both_fault():
     # reports the value's), and channel b's value terminates (alpha_b = 0) while its
     # derivative series sums to inf; omega = 5 overflows both channels
     p = ads_modes.AdSParams(3, 3001.5)
-    a, b, c = ads_modes._channel(p, 3000.5, 0, "a", specfun._FLOAT)[1]
+    a, b, c = ads_modes._channel(p, 3000.5, 0, "a")[1]
     assert isinstance(outcome(specfun.hyp2f1, a, b, c, math.sin(0.7) ** 2), specfun.ConvergenceError)
     assert isinstance(outcome(specfun.hyp2f1_dz, a, b, c, math.sin(0.7) ** 2), specfun.ConvergenceError)
     fault_a, fault_b = assert_channel_grid_is_radial_eval(p, [3000.5, 5.0], [0, 0])
