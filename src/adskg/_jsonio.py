@@ -78,19 +78,23 @@ def _record_pieces(fields, pad):
     return pieces
 
 
-def _numbers(cells):
-    return set(map(type, cells)) <= _NUMBER
+def _is_number(cell):
+    return type(cell) in _NUMBER
 
 
-def _number_lists(cells):
-    return set(map(type, cells)) <= {list} and _numbers(chain.from_iterable(cells))
+def _is_number_list(cell):
+    return type(cell) is list and set(map(type, cell)) <= _NUMBER
 
 
-# the check of each field role, on a whole column or on one cell as a column of one
+def _is_pair(cell):
+    return _is_number_list(cell) and len(cell) == 2
+
+
+# the check of one cell of each field role
 _ROLES = (
-    (_numbers, "a number"),
-    (_number_lists, "a list of numbers"),
-    (lambda cells: _number_lists(cells) and {*map(len, cells)} <= {2}, "a list of two numbers [re, im]"),
+    (_is_number, "a number"),
+    (_is_number_list, "a list of numbers"),
+    (_is_pair, "a list of two numbers [re, im]"),
 )
 
 
@@ -110,14 +114,27 @@ def read_records(rows, numbers=(), lists=(), pairs=()):
     fields = [(name, check, kind) for names, (check, kind) in roles for name in names]
     try:
         columns = [list(map(itemgetter(name), rows)) for name, _, _ in fields]
-        ok = all(check(column) for column, (_, check, _) in zip(columns, fields))
+        kept, paired = columns[: len(numbers) + len(lists)], columns[len(numbers) + len(lists) :]
+        listed = kept[len(numbers) :]
+        flat = list(_elements(paired))  # the [re, im] numbers, member after member
+        # a pair of length 2 that is not a list fails the test of its elements: JSON's
+        # other values with a length, strings and objects, hold strings
+        ok = (
+            set(map(type, chain.from_iterable(listed))) <= {list}
+            and set(map(len, chain.from_iterable(paired))) <= {2}
+            and set(map(type, chain(*kept[: len(numbers)], _elements(listed), flat))) <= _NUMBER
+        )
     except (KeyError, TypeError):
         ok = False
     if not ok:
         _raise_first_malformed(rows, fields)
-    cells = list(chain.from_iterable(columns[len(numbers) + len(lists) :]))
-    values = np.fromiter(chain.from_iterable(cells), float, 2 * len(cells)).view(complex)
-    return columns[: len(numbers) + len(lists)], values.reshape(len(pairs), len(rows)).T
+    values = np.fromiter(flat, float, len(flat)).view(complex)
+    return kept, values.reshape(len(pairs), len(rows)).T
+
+
+def _elements(columns):
+    """The elements of the list cells of the columns, column after column."""
+    return chain.from_iterable(chain.from_iterable(columns))
 
 
 def keyed(keys, values):
@@ -125,11 +142,16 @@ def keyed(keys, values):
     whose keys are equal, where the dict would silently keep the later one."""
     table = dict(zip(keys, values))
     if len(table) < len(keys):
-        first = {}
-        for i, key in enumerate(keys):
-            if (j := first.setdefault(key, i)) != i:
-                raise ValueError(f"entries {j} and {i} repeat a key: {keys[j]} and {key}")
+        refuse_repeats(keys)
     return table
+
+
+def refuse_repeats(keys, ids=None):
+    """ValueError naming the first two entries whose ids, by default their keys, are equal."""
+    first = {}
+    for i, key in enumerate(keys if ids is None else ids):
+        if (j := first.setdefault(key, i)) != i:
+            raise ValueError(f"entries {j} and {i} repeat a key: {keys[j]} and {keys[i]}")
 
 
 def _raise_first_malformed(rows, fields):
@@ -139,6 +161,6 @@ def _raise_first_malformed(rows, fields):
         for name, check, kind in fields:
             if name not in row:
                 raise ValueError(f"entry {i} has no {name!r}")
-            if not check([row[name]]):
+            if not check(row[name]):
                 raise ValueError(f"entry {i}: {name!r} must be {kind}, got {row[name]!r}")
     raise ValueError("malformed list of JSON objects")

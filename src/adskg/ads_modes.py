@@ -16,11 +16,13 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
-from ._jsonio import encode_array, keyed, read_records, records
+from ._jsonio import encode_array, read_records, records, refuse_repeats
 from .harmonics import MultiIndex, all_indices
 from .specfun import (
     _HYP_Z_MAX,
@@ -280,8 +282,23 @@ class _LabelSpace(NamedTuple):
     numbers: np.ndarray  # (labels, d - 1) ints: the levels, then m
 
 
+# the most labels a label space holds: 2^16 is lmax 255 at d = 3, about 0.3 s and 21 MB
+# to build on a 2-core x86-64 host; the benchmark's largest holds 336 (lmax 6 at d = 5)
+_LABELS_MAX = 1 << 16
+
+
+def _label_count(d, lmax):
+    """len(all_indices(d, lmax)) for d >= 3: C(lmax + d - 1, d - 1) + C(lmax + d - 2, d - 1),
+    the harmonic dimensions C(l + d - 1, d - 1) - C(l + d - 3, d - 1) summed over l."""
+    return math.comb(lmax + d - 1, d - 1) + math.comb(lmax + d - 2, d - 1) if lmax >= 0 else 0
+
+
 @functools.lru_cache(maxsize=32)
 def _label_space(d, lmax):
+    if d >= 3 and (count := _label_count(d, lmax)) > _LABELS_MAX:
+        raise ValueError(
+            f"the mode labels up to lmax = {lmax} at d = {d} number {count}, more than {_LABELS_MAX}"
+        )
     labels = tuple((idx.levels, idx.m) for idx in all_indices(d, lmax))
     index = {label: j for j, label in enumerate(labels)}
     l = np.array([levels[0] for levels, _ in labels], dtype=int)
@@ -290,15 +307,16 @@ def _label_space(d, lmax):
     return _LabelSpace(d, labels, index, l, partner, numbers.reshape(len(labels), max(d - 1, 0)))
 
 
-def _label_positions(labels):
-    """Smallest label space holding the (levels, m) labels, and their positions in it."""
+def _label_positions(levels, ms):
+    """Smallest label space holding the labels (levels[k], ms[k]), and their positions in it."""
     try:
-        d = len(labels[0][0]) + 2 if labels else 0
-        space = _label_space(d, int(max((levels[0] for levels, _ in labels), default=-1)))
-        return space, np.array([space.index[label] for label in labels], dtype=np.intp)
+        d = len(levels[0]) + 2 if levels else 0
+        space = _label_space(d, int(max(map(itemgetter(0), levels), default=-1)))
+        labels = map(space.index.__getitem__, zip(map(tuple, levels), ms))
+        return space, np.fromiter(labels, np.intp, len(ms))
     except (IndexError, KeyError):
-        for levels, m in labels:
-            MultiIndex(tuple(levels), int(m))
+        for lv, m in zip(levels, ms):
+            MultiIndex(tuple(lv), int(m))
         raise ValueError("mode vector labels must be integer multi-indices of one dimension")
 
 
@@ -331,21 +349,39 @@ class ModeVector:
 
     def __init__(self, freq_grid, entries):
         grid = np.array([(float(omega), float(w)) for omega, w in freq_grid]).reshape(-1, 2)
-        if np.any(grid[:, 1] <= 0.0):
-            raise ValueError("frequency weights must be positive")
-        self._omegas, self._weights = grid[np.argsort(grid[:, 0])].T
-        if np.any(self._omegas[1:] == self._omegas[:-1]):
-            raise ValueError("duplicate frequency in grid")
-        keys = list(entries)
-        freqs = _find(self._omegas, np.array([omega for omega, _, _ in keys], dtype=float))
-        if np.any(freqs < 0):
-            omega = float(keys[int(np.argmax(freqs < 0))][0])
-            raise ValueError(f"entry frequency {omega} not on the grid")
-        self._space, labels = _label_positions([(levels, m) for _, levels, m in keys])
+        omegas, levels, ms = zip(*entries) if entries else ((), (), ())
+        pairs = entries.values()
+        if not {*map(len, pairs)} <= {2}:
+            raise ValueError("each mode vector entry holds a pair (a, b)")
+        values = np.fromiter(chain.from_iterable(pairs), complex, 2 * len(pairs)).reshape(-1, 2)
+        self._fill(*grid.T, omegas, levels, ms, values)
+
+    def _fill(self, grid, weights, omegas, levels, ms, values):
+        """Set this vector from its grid and the columns of its entries, (a, b) in values.
+
+        The checks run on whole arrays; only when one fails does _refuse_entries
+        look for the first fault, in the order a repeated key, the grid, an entry
+        frequency, a label.
+        """
+        grid, weights = np.asarray(grid, dtype=float), np.asarray(weights, dtype=float)
+        order = np.argsort(grid)
+        self._omegas, self._weights = grid[order], weights[order]
+        freqs = _find(self._omegas, np.array(omegas, dtype=float))
+        try:
+            self._space, labels = _label_positions(levels, ms)
+            size = len(self._space.labels)
+        except (ValueError, TypeError, OverflowError):
+            self._space = None
+        if not (
+            self._space is not None
+            and _grid_fault(self._omegas, self._weights) is None
+            and (freqs >= 0).all()
+            and _distinct(freqs * size + labels, len(self._omegas) * size)
+        ):
+            _refuse_entries(self._omegas, self._weights, freqs, omegas, levels, ms)
         self._entries = np.stack([freqs, labels], axis=1)
-        self._data = np.zeros((len(self._omegas), len(self._space.labels), 2), dtype=complex)
-        values = np.array(list(entries.values()), dtype=complex)
-        self._data[freqs, labels] = values.reshape(len(keys), 2)
+        self._data = np.zeros((len(self._omegas), size, 2), dtype=complex)
+        self._data[freqs, labels] = values
 
     def _new(self, data, entries, space=None):
         """A vector on this grid holding data, with the given entry positions."""
@@ -381,8 +417,11 @@ class ModeVector:
         return dict(self.freq_grid)[float(omega)]
 
     def get(self, omega, levels, m):
+        levels = tuple(levels)
+        if any(v % 1 for v in (*levels, m)):
+            raise ValueError(f"mode key (omega, levels, m) = {(omega, levels, m)} has a non-integer label")
         f = int(_find(self._omegas, float(omega)))
-        j = self._space.index.get((tuple(levels), int(m)))
+        j = self._space.index.get((levels, m))
         if f < 0 or j is None:
             return (0.0 + 0.0j, 0.0 + 0.0j)
         return tuple(self._data[f, j].tolist())
@@ -422,15 +461,45 @@ class ModeVector:
         return same and self.entries == other.entries
 
 
+def _grid_fault(omegas, weights):
+    """The fault of a sorted frequency grid, or None."""
+    if (weights <= 0.0).any():
+        return "frequency weights must be positive"
+    if (omegas[1:] == omegas[:-1]).any():
+        return "duplicate frequency in grid"
+    return None
+
+
+def _distinct(cells, size):
+    """Whether the cells, ints in [0, size), are all different."""
+    first, order = np.empty(size, dtype=np.intp), np.arange(len(cells))
+    first[cells] = order
+    return (first[cells] == order).all()
+
+
+def _refuse_entries(omegas, weights, freqs, entry_omegas, levels, ms):
+    """Raise the first fault of a vector's grid and entries, in ModeVector._fill's order."""
+    keys = list(zip(entry_omegas, map(tuple, levels), ms))
+    refuse_repeats(keys)
+    if fault := _grid_fault(omegas, weights):
+        raise ValueError(fault)
+    if np.any(freqs < 0):
+        raise ValueError(f"entry frequency {float(entry_omegas[int(np.argmax(freqs < 0))])} not on the grid")
+    _, labels = _label_positions(levels, ms)
+    # keys that differ but land on one position, such as the ints 2^53 + 1 and 2^53
+    refuse_repeats(keys, list(zip(freqs.tolist(), labels.tolist())))
+
+
 def mode_vector_from_json(text):
     data = json.loads(text)
     if type(data) is not dict:
         raise ValueError("a mode file holds a JSON object")
-    (omegas, weights), _ = read_records(data["freq_grid"], ("omega", "weight"))
+    grid, _ = read_records(data["freq_grid"], ("omega", "weight"))
     rows = data["entries"]
-    (omegas_e, ms, levels), ab = read_records(rows, ("omega", "m"), ("levels",), ("a", "b"))
-    keys = list(zip(omegas_e, map(tuple, levels), ms))
-    return ModeVector(list(zip(omegas, weights)), keyed(keys, zip(*ab.T.tolist())))
+    (omegas, ms, levels), values = read_records(rows, ("omega", "m"), ("levels",), ("a", "b"))
+    phi = object.__new__(ModeVector)
+    phi._fill(*grid, omegas, levels, ms, values)
+    return phi
 
 
 def omega_rho(p, eta, zeta):

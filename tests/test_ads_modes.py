@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from adskg import ads_modes
 from adskg.ads_complex_structure import candidate_jab
 from adskg.ads_modes import (
     AdSParams,
     ModeVector,
     _channel_grid,
+    _label_count,
+    _label_space,
     act_rotation,
     act_time_translation,
     delta_for_mass,
@@ -295,6 +298,101 @@ class TestModeVector:
         phi = ModeVector([(1.0, 1.0)], {})
         with pytest.raises(ValueError):
             is_real_solution(phi)
+
+    @pytest.mark.parametrize("levels, m", [((1,), 0.5), ((1.5,), 0), ((1,), math.nan), ((1, 0.5), 0)])
+    def test_get_refuses_a_non_integer_label(self, levels, m):
+        # int(m) would read m = 0.5 as the m = 0 entry
+        phi = ModeVector([(0.5, 1.0)], {(0.5, (1,), 0): (1, 2)})
+        with pytest.raises(ValueError, match=r"mode key \(omega, levels, m\) = .* has a non-integer label"):
+            phi.get(0.5, levels, m)
+        assert phi.get(0.5, (1.0,), 0.0) == phi.get(0.5, [1], 0) == ((1 + 0j), (2 + 0j))
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_label_count_is_the_size_of_the_label_space(self, d):
+        for lmax in range(7):
+            assert _label_count(d, lmax) == len(_label_space(d, lmax).labels)
+
+    def test_label_space_is_bounded_before_it_is_built(self, monkeypatch):
+        monkeypatch.setattr(ads_modes, "all_indices", lambda d, lmax: pytest.fail("built the label space"))
+        message = "the mode labels up to lmax = 400 at d = 3 number 160801, more than 65536"
+        with pytest.raises(ValueError, match=message):
+            ModeVector([(1.0, 1.0)], {(1.0, (400,), 0): (1.0, 0.0)})
+        with pytest.raises(ValueError, match="lmax = 6 at d = 40 number"):
+            random_real_mode_vector(40, [0.5], 6, np.random.default_rng(0))
+
+
+def _file_and_dict(entries, grid):
+    """A mode file's text and the {(omega, levels, m): (a, b)} dict of the same entries."""
+    text = json.dumps({"freq_grid": [{"omega": w, "weight": v} for w, v in grid], "entries": entries})
+    table = {(e["omega"], tuple(e["levels"]), e["m"]): (complex(*e["a"]), complex(*e["b"])) for e in entries}
+    return text, table
+
+
+def _entry(omega, levels, m, a=(1.0, 0.0), b=(0.0, 0.0)):
+    return {"omega": omega, "levels": list(levels), "m": m, "a": list(a), "b": list(b)}
+
+
+_AWKWARD = [
+    # out of sorted order, omega -0.0 on a grid holding 0.0, an int omega, and
+    # levels and m written as floats of integer value
+    [
+        _entry(1.0, (1.0,), -1.0, (0.5, -1.5), (2.0, 0.25)),
+        _entry(-0.0, (2,), 1, (3.0, 1.0), (-0.5, 0.0)),
+        _entry(-1, (1,), 1, (0.75, 0.5), (1.0, -2.0)),
+        _entry(0.0, (2.0,), -1.0, (1.0, 0.0), (0.0, 1.0)),
+        _entry(1.0, (0,), 0, (1e300, -1e-300), (0.1, 0.2)),
+        _entry(-1.0, (0,), 0.0, (0.3, 0.7), (-0.0, 5.0)),
+    ],
+    [],
+]
+
+
+class TestModeFiles:
+    """mode_vector_from_json builds the vector from the file's columns; it must equal
+    ModeVector(grid, dict) of the same entries, entry order included."""
+
+    GRID = [(-1.0, 0.5), (0.0, 0.25), (1.0, 0.5)]
+
+    @pytest.mark.parametrize("entries", _AWKWARD + [None])
+    def test_columns_equal_the_dict(self, entries):
+        if entries is None:  # a real vector at d = 4 with its entries shuffled
+            phi = random_real_mode_vector(4, [1.0], 2, np.random.default_rng(1))
+            entries = json.loads(phi.to_json())["entries"]
+            np.random.default_rng(2).shuffle(entries)
+        text, table = _file_and_dict(entries, self.GRID)
+        got, want = mode_vector_from_json(text), ModeVector(self.GRID, table)
+        assert np.array_equal(got._entries, want._entries)
+        assert list(got.entries.items()) == list(want.entries.items())
+        assert got.freq_grid == want.freq_grid
+        # omega_rho sums in entry order; pair each with a vector that has every partner
+        p = AdSParams(max(got._space.d, 3), 4.2)
+        other = want.map_entries(lambda omega, levels, m, a, b: (1j * b, a + 0.5))
+        for pair in ((got, other), (other, got)):
+            value = omega_rho(p, *pair)
+            expected = omega_rho(p, *[want if v is got else v for v in pair])
+            assert (value.real.hex(), value.imag.hex()) == (expected.real.hex(), expected.imag.hex())
+            assert value != 0 or not entries
+
+    def test_repeat_is_reported_before_an_off_grid_entry(self):
+        # omega -0.0 and 0.0 are one key, as in a dict; the parse keeps each as written
+        entries = [_entry(0.0, (0,), 0), _entry(2.5, (0,), 0), _entry(-0.0, (0,), 0.0)]
+        text, _ = _file_and_dict(entries, self.GRID)
+        with pytest.raises(ValueError) as exc:
+            mode_vector_from_json(text)
+        assert str(exc.value) == "entries 0 and 2 repeat a key: (0.0, (0,), 0) and (-0.0, (0,), 0.0)"
+        with pytest.raises(ValueError, match="entry frequency 2.5 not on the grid"):
+            mode_vector_from_json(_file_and_dict(entries[:2], self.GRID)[0])
+
+    def test_keys_on_one_position_are_refused(self):
+        # 2^53 + 1 and 2^53 are different keys that both convert to the grid's 2^53
+        big = float(2**53)
+        entries = [_entry(2**53 + 1, (0,), 0), _entry(big, (0,), 0)]
+        text, table = _file_and_dict(entries, [(big, 1.0)])
+        message = f"entries 0 and 1 repeat a key: ({2**53 + 1}, (0,), 0) and ({big}, (0,), 0)"
+        for build in (lambda: mode_vector_from_json(text), lambda: ModeVector([(big, 1.0)], table)):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == message
 
 
 class TestOmegaRho:

@@ -351,6 +351,18 @@ class TestMalformedFiles:
         assert cli.main(self.ARGV + ["--jfactors", str(path)]) == cli.EXIT_CONFIG
 
 
+def test_mode_file_with_a_huge_level_exits_config(tmp_path, capsys, monkeypatch):
+    # one entry at l = 100000 asks for (l + 1)^2 labels at d = 3: refused by their count
+    monkeypatch.setattr(ads_modes, "all_indices", lambda d, lmax: pytest.fail("built the label space"))
+    entry = {"omega": 0.5, "levels": [100000], "m": 0, "a": [1.0, 0.0], "b": [0.0, 0.0]}
+    path = tmp_path / "modes.json"
+    path.write_text(json.dumps({"freq_grid": [{"omega": 0.5, "weight": 1.0}], "entries": [entry]}))
+    out = str(tmp_path / "audit.csv")
+    assert cli.main(TestMalformedFiles.ARGV + ["--modes", str(path), "--out", out]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.endswith("config error: the mode labels up to lmax = 100000 at d = 3 number 10000200001, more than 65536\n")
+
+
 class TestFluxClassify:
     def test_real_channels_standing(self, tmp_path):
         out = tmp_path / "flux.csv"

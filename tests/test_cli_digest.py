@@ -47,3 +47,25 @@ def test_digest_does_not_depend_on_the_work_directory(cli_digest, tmp_path):
         results.append(cli_digest.digest(cli, argv, str(workdir)))
     assert results[0] == results[1]
     assert results[0][1] == "harmonics-table --table ladder --d 4 --lmax 1 --out $WORK/rows.csv"
+
+
+def test_session_jobs_are_digested_by_their_values(cli_digest, monkeypatch, tmp_path):
+    # a library session job of a mode-audit cycle, built and run by perfbench's own code
+    from adskg.harmonics import wigner_block_euler
+
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(TOOLS), "perfbench"))
+    import generate
+    import workloads
+
+    import adskg
+
+    workload = workloads.Workload("mode-audit", 1, str(tmp_path))
+    workload.blocks[3] = {l: wigner_block_euler(l, 0.3, 1.1, -0.4) for l in range(3)}
+    lines = []
+    for seed in (7, 7, 8):
+        params = dict(d=3, delta=4.2, lmax=2, omegas=[0.5, 1.5], step=0.5, jkind="diagonal", which=1, dt=0.3, seed=seed)
+        job = generate.Job("session", params)
+        workload.prepare(job, None)
+        lines.append(cli_digest.session_digest(workloads.execute, adskg, job))
+    assert lines[0] == lines[1] and lines[0][0] != lines[2][0]
+    assert lines[0][1].startswith("session {") and "'seed': 7" in lines[0][1]

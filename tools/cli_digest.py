@@ -7,11 +7,17 @@ file.  Each output line is the digest, two spaces, then the argv as a shell line
 Paths are written as placeholders: the work directory as $WORK, so digests do not
 depend on where a run writes.
 
+A library session job of a perfbench cycle runs through perfbench/workloads.py's
+`execute`.  Its digest covers the escaping exception or each returned value by name:
+a ModeVector by its to_json text and its entry order, the condition report by its
+case and flags, and anything else by repr.  Its line ends with the job's description.
+
 Inputs, in this order:
   --grids             the ROADMAP grids and the fault grids (GRIDS below)
-  --cycle NAME:SEED   every CLI job of one cycle of a perfbench workload (tube-sweep,
-                      mode-audit or rotation-audit) at a seed, built by
-                      perfbench/generate.py and workloads.py, which are only read
+  --cycle NAME:SEED   every CLI job and library session job of one cycle of a
+                      perfbench workload (tube-sweep, mode-audit or rotation-audit) at
+                      a seed, built by perfbench/generate.py and workloads.py, which
+                      are only read
   FILE ...            argvs, one per line in shell syntax ('-' reads stdin)
 
 To check parity, run it on the parent checkout and on the change, then diff:
@@ -23,6 +29,7 @@ To check parity, run it on the parent checkout and on the change, then diff:
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import importlib
 import io
@@ -69,8 +76,9 @@ GRIDS = [
 ]
 
 
-def cycle_argvs(repo, name, seed, workdir):
-    """The argv of every CLI job of one cycle of workload `name` at `seed`, in run order."""
+def cycle_runs(repo, name, seed, workdir):
+    """Every CLI job and session job of one cycle of workload `name` at `seed`, in run
+    order: the argv of a CLI job, or a function that digests a session job."""
     sys.path.insert(0, os.path.join(repo, "perfbench"))
     sys.dont_write_bytecode = True  # perfbench/ is only read
     generate, workloads = (importlib.import_module(m) for m in ("generate", "workloads"))
@@ -79,13 +87,36 @@ def cycle_argvs(repo, name, seed, workdir):
     quiet = io.StringIO()
     with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
         workload.setup(adskg)
-    argvs = []
+    runs, argvs = [], 0
     for k in range(generate.CYCLE):
         for job in workload.make_pass(k):
             if job.argv is not None:
-                workload.prepare(job, len(argvs))
-                argvs.append(job.argv)
-    return argvs
+                workload.prepare(job, argvs)
+                runs.append(job.argv)
+                argvs += 1
+            elif job.kind == "session":
+                workload.prepare(job, None)
+                runs.append(functools.partial(session_digest, workloads.execute, adskg, job))
+    return runs
+
+
+def session_digest(execute, adskg, job):
+    """(sha256 of a session job's outcome, the job's description)."""
+    out = execute(adskg, job)
+    if out.exc is not None:
+        parts = [f"raised {type(out.exc).__name__}: {out.exc}"]
+    else:
+        parts = [f"{key}: {_spelled(value)}" for key, value in out.value.items()]
+    return hashlib.sha256("\0".join(parts).encode()).hexdigest(), job.describe()
+
+
+def _spelled(value):
+    if hasattr(value, "to_json"):  # a ModeVector, and the order of its entries
+        return value.to_json() + repr(list(value.entries))
+    if hasattr(value, "essential_ok"):  # a ConditionReport
+        flags = ("reality_ok", "square_ok", "compat_ok", "offdiag_ok", "real_products_ok", "positivity_ok")
+        return " ".join([value.case, *(f"{flag}={getattr(value, flag)}" for flag in flags)])
+    return repr(value)
 
 
 def digest(cli, argv, workdir):
@@ -129,12 +160,12 @@ def main(argv=None):
         runs = [shlex.split(line) for line in GRIDS] if args.grids else []
         for spec in args.cycle:
             name, seed = spec.rsplit(":", 1)
-            runs += cycle_argvs(repo, name, int(seed), os.path.join(workdir, f"{name}-{seed}"))
+            runs += cycle_runs(repo, name, int(seed), os.path.join(workdir, f"{name}-{seed}"))
         for path in args.files:
             with open(path) if path != "-" else contextlib.nullcontext(sys.stdin) as fh:
                 runs += [shlex.split(line) for line in fh if line.strip()]
         for run in runs:
-            print("  ".join(digest(cli, run, workdir)), flush=True)
+            print("  ".join(run() if callable(run) else digest(cli, run, workdir)), flush=True)
     return 0
 
 
